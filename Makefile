@@ -10,8 +10,8 @@
 # pass; `make bench-hotpath` refreshes BENCH_hotpath.json, `make bench-ipc`
 # refreshes BENCH_ipc.json, `make bench-obs` refreshes BENCH_obs.json
 # (observability overhead), `make bench-rulescale` refreshes
-# BENCH_rulescale.json (ns/op vs rule-base size, compiled dispatch vs
-# linear), and `make bench-alloc` refreshes BENCH_alloc.json (allocs/op,
+# BENCH_rulescale.json (ns/op vs rule-base size through the compiled
+# decision program), and `make bench-alloc` refreshes BENCH_alloc.json (allocs/op,
 # bytes/op and tail latency on the armed hot path; `bench-alloc-smoke` is
 # the CI variant that additionally fails if the open+close or stat rows
 # allocate at all) so the perf trajectory is tracked across PRs.
@@ -35,7 +35,7 @@
 
 GO ?= go
 
-.PHONY: all vet gofmt-check pflint pflint-alloc lint build test test-race ci check verify analyze bench-smoke bench-hotpath bench-ipc bench-obs bench-rulescale bench-rulescale-smoke bench-alloc bench-alloc-smoke bench-trace bench-trace-smoke bench-worldscale bench-worldscale-smoke bench-policy bench-policy-smoke bench-verify bench-verify-smoke
+.PHONY: all vet gofmt-check pflint pflint-alloc lint build test test-race ci perfbench-check check verify analyze bench-smoke bench-hotpath bench-ipc bench-obs bench-rulescale bench-rulescale-smoke bench-alloc bench-alloc-smoke bench-trace bench-trace-smoke bench-worldscale bench-worldscale-smoke bench-policy bench-policy-smoke bench-verify bench-verify-smoke
 
 all: lint ci check verify
 
@@ -62,7 +62,13 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-ci: vet build test-race
+ci: vet build test-race perfbench-check
+
+# The benchmark is a nested module (perfbench/go.mod), so `go build ./...`
+# at the root never compiles it; build, vet and short-test it here so an
+# API change that breaks the benchmark fails CI instead of the next run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Ruleset gate: the pfcheck static analyzer must pass (no error-severity
 # findings) on every shipped example ruleset, the paper's Table 5 base, and

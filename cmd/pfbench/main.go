@@ -7,7 +7,7 @@
 //	pfbench -fig5     # Apache SymLinksIfOwnerMatch: program vs rule R8
 //	pfbench -parallel  # multi-process hot-path scaling at 1/4/8 goroutines
 //	pfbench -ipc       # socket round-trip scaling across the three namespaces
-//	pfbench -rulescale # ns/op vs rule-base size, compiled dispatch vs linear
+//	pfbench -rulescale # ns/op vs rule-base size through the compiled program
 //	pfbench -policy    # control-plane publish latency, propagation, disturbance
 //	pfbench -alloc     # allocs/op, bytes/op and tail latency on the hot path
 //	pfbench -verify    # symbolic invariant-sweep wall clock vs rule-base size
@@ -63,7 +63,7 @@ func main() {
 	tracingRun := flag.Bool("tracing", false, "run the decision-provenance overhead comparison (tracing off vs sampled)")
 	tracingGate := flag.Bool("tracing-gate", false, "with -tracing: fail if sampled tracing exceeds 10% overhead on the open path")
 	traceEvery := flag.Int("trace-every", 0, "span sampling period for -tracing (0: the default)")
-	ruleScale := flag.Bool("rulescale", false, "run the rule-base scaling comparison (compiled dispatch vs linear)")
+	ruleScale := flag.Bool("rulescale", false, "run the rule-base scaling sweep (compiled decision program, 100 to 10k rules)")
 	policyRun := flag.Bool("policy", false, "run the policy control-plane measurement (publish latency, propagation, open-path disturbance)")
 	policyGate := flag.Bool("policy-gate", false, "with -policy: fail on slow incremental publish, stale verdicts, or >10% open-path p99 disturbance")
 	policyJSONPath := flag.String("policy-json", "", "write -policy results as JSON to this file")
@@ -183,7 +183,7 @@ func main() {
 			sizes = trimmed
 		}
 		rep := lmbench.RunRuleScale(*iters, sizes)
-		emit("Rule-base scaling: compiled dispatch vs linear traversal",
+		emit("Rule-base scaling: the compiled decision program",
 			lmbench.FormatRuleScale(rep), *ruleScaleJSONPath, rep)
 	}
 	if *policyRun {

@@ -339,7 +339,7 @@ func runAllocLint(dirs []string, verbose bool, out io.Writer) (int, error) {
 }
 
 // chain renders the BFS path from Filter down to f, e.g.
-// "Filter -> traverseFrom -> evalRule".
+// "Filter -> run -> evalRule".
 func chain(via map[*fn]*fn, f *fn) string {
 	var names []string
 	for cur := f; cur != nil; cur = via[cur] {

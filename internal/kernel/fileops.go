@@ -47,7 +47,7 @@ func (p *Proc) Open(path string, flags int, mode uint16) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		if err := p.pfFilter(pf.OpFileCreate, node, res.Path, NrOpen); err != nil {
+		if err := p.pfFilter(pf.OpFileCreate, pfObj{node: node, path: res.Path}, NrOpen); err != nil {
 			// The firewall rejected the created resource; undo.
 			p.k.FS.Unlink(res.Parent, res.Name)
 			return -1, err
@@ -79,7 +79,7 @@ func (p *Proc) Open(path string, flags int, mode uint16) (int, error) {
 	if p.k.MACEnforcing && !p.k.Policy.Authorized(p.sid, node.SID, mac.ClassFile, want) {
 		return -1, ErrMACDenied
 	}
-	if err := p.pfFilter(pf.OpFileOpen, node, res.Path, NrOpen); err != nil {
+	if err := p.pfFilter(pf.OpFileOpen, pfObj{node: node, path: res.Path}, NrOpen); err != nil {
 		return -1, err
 	}
 	if flags&O_TRUNC != 0 {
@@ -135,12 +135,12 @@ func (p *Proc) Read(fd, n int) ([]byte, error) {
 		if f.Conn == nil {
 			return nil, vfs.ErrInval
 		}
-		if err := p.pfFilterConn(pf.OpSocketRecv, f.Conn, NrRead); err != nil {
+		if err := p.pfFilter(pf.OpSocketRecv, pfObj{conn: f.Conn}, NrRead); err != nil {
 			return nil, err
 		}
 		return f.Conn.Recv(n)
 	}
-	if err := p.pfFilterRes(pf.OpFileRead, &f.res, NrRead); err != nil {
+	if err := p.pfFilter(pf.OpFileRead, pfObj{res: &f.res}, NrRead); err != nil {
 		return nil, err
 	}
 	if f.Node.Type == vfs.TypeFifo {
@@ -187,12 +187,12 @@ func (p *Proc) Write(fd int, data []byte) (int, error) {
 		if f.Conn == nil {
 			return 0, vfs.ErrInval
 		}
-		if err := p.pfFilterConn(pf.OpSocketSend, f.Conn, NrWrite); err != nil {
+		if err := p.pfFilter(pf.OpSocketSend, pfObj{conn: f.Conn}, NrWrite); err != nil {
 			return 0, err
 		}
 		return f.Conn.Send(data)
 	}
-	if err := p.pfFilterRes(pf.OpFileWrite, &f.res, NrWrite); err != nil {
+	if err := p.pfFilter(pf.OpFileWrite, pfObj{res: &f.res}, NrWrite); err != nil {
 		return 0, err
 	}
 	if f.Node.Type == vfs.TypeFifo {
@@ -224,7 +224,7 @@ func (p *Proc) Stat(path string) (vfs.Stat, error) {
 	if err != nil {
 		return vfs.Stat{}, err
 	}
-	if err := p.pfFilter(pf.OpFileGetattr, res.Node, res.Path, NrStat); err != nil {
+	if err := p.pfFilter(pf.OpFileGetattr, pfObj{node: res.Node, path: res.Path}, NrStat); err != nil {
 		return vfs.Stat{}, err
 	}
 	return p.k.FS.StatOf(res.Node), nil
@@ -240,7 +240,7 @@ func (p *Proc) Lstat(path string) (vfs.Stat, error) {
 	if err != nil {
 		return vfs.Stat{}, err
 	}
-	if err := p.pfFilter(pf.OpFileGetattr, res.Node, res.Path, NrLstat); err != nil {
+	if err := p.pfFilter(pf.OpFileGetattr, pfObj{node: res.Node, path: res.Path}, NrLstat); err != nil {
 		return vfs.Stat{}, err
 	}
 	return p.k.FS.StatOf(res.Node), nil
@@ -259,7 +259,7 @@ func (p *Proc) Fstat(fd int) (vfs.Stat, error) {
 	if f.Node == nil {
 		return vfs.Stat{}, vfs.ErrInval
 	}
-	if err := p.pfFilterRes(pf.OpFileGetattr, &f.res, NrFstat); err != nil {
+	if err := p.pfFilter(pf.OpFileGetattr, pfObj{res: &f.res}, NrFstat); err != nil {
 		return vfs.Stat{}, err
 	}
 	return p.k.FS.StatOf(f.Node), nil
@@ -298,7 +298,7 @@ func (p *Proc) Unlink(path string) error {
 	if err := p.checkWriteDir(res.Parent, res.Node, parentPath(res.Path)); err != nil {
 		return err
 	}
-	if err := p.pfFilter(pf.OpFileUnlink, res.Node, res.Path, NrUnlink); err != nil {
+	if err := p.pfFilter(pf.OpFileUnlink, pfObj{node: res.Node, path: res.Path}, NrUnlink); err != nil {
 		return err
 	}
 	return p.k.FS.Unlink(res.Parent, res.Name)
@@ -342,7 +342,7 @@ func (p *Proc) Mkdir(path string, mode uint16) error {
 	if err != nil {
 		return err
 	}
-	return p.pfFilter(pf.OpFileCreate, node, res.Path, NrMkdir)
+	return p.pfFilter(pf.OpFileCreate, pfObj{node: node, path: res.Path}, NrMkdir)
 }
 
 // Rmdir removes an empty directory.
@@ -386,7 +386,7 @@ func (p *Proc) Symlink(target, path string) error {
 	if err != nil {
 		return err
 	}
-	return p.pfFilter(pf.OpFileCreate, node, res.Path, NrSymlink)
+	return p.pfFilter(pf.OpFileCreate, pfObj{node: node, path: res.Path}, NrSymlink)
 }
 
 // Link creates a hard link newpath to the object at oldpath.
@@ -409,7 +409,7 @@ func (p *Proc) Link(oldpath, newpath string) error {
 	if !vfs.CanAccess(newRes.Parent, p.EUID, p.EGID, false, true, true) {
 		return vfs.ErrPerm
 	}
-	if err := p.pfFilter(pf.OpFileCreate, oldRes.Node, newRes.Path, NrLink); err != nil {
+	if err := p.pfFilter(pf.OpFileCreate, pfObj{node: oldRes.Node, path: newRes.Path}, NrLink); err != nil {
 		return err
 	}
 	return p.k.FS.Link(newRes.Parent, newRes.Name, oldRes.Node)
@@ -475,7 +475,7 @@ func (p *Proc) chmodNode(node *vfs.Inode, path string, mode uint16, nr Syscall) 
 	if node.Type == vfs.TypeSocket {
 		op = pf.OpSocketSetattr
 	}
-	if err := p.pfFilter(op, node, path, nr); err != nil {
+	if err := p.pfFilter(op, pfObj{node: node, path: path}, nr); err != nil {
 		return err
 	}
 	p.k.FS.Chmod(node, mode)
@@ -495,7 +495,7 @@ func (p *Proc) Chown(path string, uid, gid int) error {
 	if err != nil {
 		return err
 	}
-	if err := p.pfFilter(pf.OpFileSetattr, res.Node, res.Path, NrChown); err != nil {
+	if err := p.pfFilter(pf.OpFileSetattr, pfObj{node: res.Node, path: res.Path}, NrChown); err != nil {
 		return err
 	}
 	p.k.FS.Chown(res.Node, uid, gid)
@@ -526,7 +526,7 @@ func (p *Proc) Bind(path string, mode uint16) (int, error) {
 		return -1, err
 	}
 	node.SockOwner = p.pid
-	if err := p.pfFilter(pf.OpSocketBind, node, res.Path, NrBind); err != nil {
+	if err := p.pfFilter(pf.OpSocketBind, pfObj{node: node, path: res.Path}, NrBind); err != nil {
 		p.k.FS.Unlink(res.Parent, res.Name)
 		return -1, err
 	}
@@ -610,7 +610,7 @@ func (p *Proc) Mkfifo(path string, mode uint16) error {
 		return err
 	}
 	node.SockOwner = p.pid
-	if err := p.pfFilter(pf.OpFifoCreate, node, res.Path, NrMkfifo); err != nil {
+	if err := p.pfFilter(pf.OpFifoCreate, pfObj{node: node, path: res.Path}, NrMkfifo); err != nil {
 		p.k.FS.Unlink(res.Parent, res.Name)
 		return err
 	}
@@ -629,7 +629,7 @@ func (p *Proc) Mmap(fd int) error {
 	if err != nil {
 		return err
 	}
-	if err := p.pfFilterRes(pf.OpFileMmap, &f.res, NrMmap); err != nil {
+	if err := p.pfFilter(pf.OpFileMmap, pfObj{res: &f.res}, NrMmap); err != nil {
 		return err
 	}
 	if _, ok := p.as.FindByPath(f.Path); !ok {
@@ -648,7 +648,7 @@ func (p *Proc) Ftruncate(fd int) error {
 	if err != nil {
 		return err
 	}
-	if err := p.pfFilterRes(pf.OpFileWrite, &f.res, NrFtruncate); err != nil {
+	if err := p.pfFilter(pf.OpFileWrite, pfObj{res: &f.res}, NrFtruncate); err != nil {
 		return err
 	}
 	f.pos = 0

@@ -171,137 +171,79 @@ func (ms *medState) endSpan(v pf.Verdict) {
 	ms.tracer.Publish(sp)
 }
 
-// pfFilter consults the Process Firewall about op on node. The per-op rule
+// pfObj names the object of one firewall consultation, in exactly one of
+// its forms: an inode reached by path, a caller-built resource, a connected
+// socket, or a rendezvous point.
+type pfObj struct {
+	node *vfs.Inode
+	path string
+	res  pf.Resource
+	conn *ipc.Conn
+	lis  *ipc.Listener
+}
+
+// fill returns the pf.Resource for o. On the hot path it fills ms's
+// preallocated scratch slot; with ms nil (no syscall scratch) it builds a
+// fresh one.
+func (o pfObj) fill(k *Kernel, ms *medState) pf.Resource {
+	switch {
+	case o.res != nil:
+		return o.res
+	case o.conn != nil:
+		if ms == nil {
+			return connResource(o.conn)
+		}
+		ms.ipcRes.fromConn(o.conn)
+		return &ms.ipcRes
+	case o.lis != nil:
+		if ms == nil {
+			r := &ipcResource{}
+			r.fromLis(o.lis)
+			return r
+		}
+		ms.ipcRes.fromLis(o.lis)
+		return &ms.ipcRes
+	}
+	if ms == nil {
+		return &resource{k: k, node: o.node, path: o.path}
+	}
+	ms.res = resource{k: k, node: o.node, path: o.path}
+	return &ms.res
+}
+
+// pfFilter consults the Process Firewall about op on obj. The per-op rule
 // mask is checked before any request is built: an op no installed rule can
 // match is a guaranteed default-accept, so the hot path skips straight past
-// the firewall (satellite fast path; verdict parity is tested).
-func (p *Proc) pfFilter(op pf.Op, node *vfs.Inode, path string, nr Syscall) error {
+// the firewall (verdict parity is tested). The rare
+// call without an active syscall scratch (helpers invoked outside syscall
+// dispatch) takes a one-shot request that allocates; the hot paths never
+// reach it.
+func (p *Proc) pfFilter(op pf.Op, obj pfObj, nr Syscall) error {
 	pfe := p.k.PF
 	if pfe == nil || !pfe.MayFilter(op) {
 		return nil
 	}
 	ms := p.curMed
 	if ms == nil || !ms.batchActive {
-		return p.pfFilterSlow(pfe, op, &resource{k: p.k, node: node, path: path}, nr)
-	}
-	ms.res = resource{k: p.k, node: node, path: path}
-	ms.req.Reset()
-	ms.req.Proc = p
-	ms.req.Op = op
-	ms.req.Obj = &ms.res
-	ms.req.SyscallNR = int(nr)
-	if ms.tracer != nil {
-		ms.beginSpan(op, path)
-	}
-	v := ms.b.Filter(&ms.req)
-	if ms.tracer != nil {
-		ms.endSpan(v)
-	}
-	if v == pf.VerdictDrop {
-		return ErrPFDenied
-	}
-	return nil
-}
-
-// pfFilterRes consults the Process Firewall with a caller-built resource,
-// used where the resource is an IPC endpoint (usually one of the medState
-// scratch slots) rather than (only) an inode.
-func (p *Proc) pfFilterRes(op pf.Op, res pf.Resource, nr Syscall) error {
-	pfe := p.k.PF
-	if pfe == nil || !pfe.MayFilter(op) {
+		req := pf.Request{Proc: p, Op: op, Obj: obj.fill(p.k, nil), SyscallNR: int(nr)}
+		if pfe.Filter(&req) == pf.VerdictDrop {
+			return ErrPFDenied
+		}
 		return nil
 	}
-	ms := p.curMed
-	if ms == nil || !ms.batchActive {
-		return p.pfFilterSlow(pfe, op, res, nr)
-	}
 	ms.req.Reset()
 	ms.req.Proc = p
 	ms.req.Op = op
-	ms.req.Obj = res
+	ms.req.Obj = obj.fill(p.k, ms)
 	ms.req.SyscallNR = int(nr)
 	if ms.tracer != nil {
-		ms.beginSpan(op, res.Path())
+		ms.beginSpan(op, ms.req.Obj.Path())
 	}
 	v := ms.b.Filter(&ms.req)
 	if ms.tracer != nil {
 		ms.endSpan(v)
 	}
 	if v == pf.VerdictDrop {
-		return ErrPFDenied
-	}
-	return nil
-}
-
-// pfFilterConn mediates one message on a connected socket, filling the
-// scratch IPC resource from the connection's metadata and peer credential.
-func (p *Proc) pfFilterConn(op pf.Op, c *ipc.Conn, nr Syscall) error {
-	pfe := p.k.PF
-	if pfe == nil || !pfe.MayFilter(op) {
-		return nil
-	}
-	ms := p.curMed
-	if ms == nil || !ms.batchActive {
-		return p.pfFilterSlow(pfe, op, connResource(c), nr)
-	}
-	ms.ipcRes.fromConn(c)
-	ms.req.Reset()
-	ms.req.Proc = p
-	ms.req.Op = op
-	ms.req.Obj = &ms.ipcRes
-	ms.req.SyscallNR = int(nr)
-	if ms.tracer != nil {
-		ms.beginSpan(op, ms.ipcRes.Path())
-	}
-	v := ms.b.Filter(&ms.req)
-	if ms.tracer != nil {
-		ms.endSpan(v)
-	}
-	if v == pf.VerdictDrop {
-		return ErrPFDenied
-	}
-	return nil
-}
-
-// pfFilterLis mediates against a rendezvous point (bind/listen/connect),
-// filling the scratch IPC resource from the listener's metadata and binder
-// credential.
-func (p *Proc) pfFilterLis(op pf.Op, l *ipc.Listener, nr Syscall) error {
-	pfe := p.k.PF
-	if pfe == nil || !pfe.MayFilter(op) {
-		return nil
-	}
-	ms := p.curMed
-	if ms == nil || !ms.batchActive {
-		r := &ipcResource{}
-		r.fromLis(l)
-		return p.pfFilterSlow(pfe, op, r, nr)
-	}
-	ms.ipcRes.fromLis(l)
-	ms.req.Reset()
-	ms.req.Proc = p
-	ms.req.Op = op
-	ms.req.Obj = &ms.ipcRes
-	ms.req.SyscallNR = int(nr)
-	if ms.tracer != nil {
-		ms.beginSpan(op, ms.ipcRes.Path())
-	}
-	v := ms.b.Filter(&ms.req)
-	if ms.tracer != nil {
-		ms.endSpan(v)
-	}
-	if v == pf.VerdictDrop {
-		return ErrPFDenied
-	}
-	return nil
-}
-
-// pfFilterSlow is the one-shot fallback for the rare call without an active
-// syscall scratch (helpers invoked outside syscall dispatch). It allocates;
-// the hot paths never reach it.
-func (p *Proc) pfFilterSlow(pfe *pf.Engine, op pf.Op, res pf.Resource, nr Syscall) error {
-	req := pf.Request{Proc: p, Op: op, Obj: res, SyscallNR: int(nr)}
-	if pfe.Filter(&req) == pf.VerdictDrop {
 		return ErrPFDenied
 	}
 	return nil

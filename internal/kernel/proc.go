@@ -397,7 +397,7 @@ func (p *Proc) mediate1(nr Syscall, a vfs.Access) error {
 		}
 	}
 	// Process Firewall: invoked only if authorization allowed (Figure 2).
-	return p.pfFilter(accessToOp(a), a.Node, a.Path, nr)
+	return p.pfFilter(accessToOp(a), pfObj{node: a.Node, path: a.Path}, nr)
 }
 
 // resolve performs a mediated path resolution relative to the cwd, inside

@@ -84,7 +84,7 @@ func (p *Proc) Execve(path string, env map[string]string) error {
 	if !vfs.CanAccess(node, p.EUID, p.EGID, false, false, true) {
 		return vfs.ErrPerm
 	}
-	if err := p.pfFilter(pf.OpFileExec, node, res.Path, NrExecve); err != nil {
+	if err := p.pfFilter(pf.OpFileExec, pfObj{node: node, path: res.Path}, NrExecve); err != nil {
 		return err
 	}
 	// setuid: effective uid becomes the binary owner's.

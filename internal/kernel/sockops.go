@@ -103,7 +103,7 @@ func (p *Proc) BindAbstract(name string) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	if err := p.pfFilterLis(pf.OpSocketBind, l, NrBind); err != nil {
+	if err := p.pfFilter(pf.OpSocketBind, pfObj{lis: l}, NrBind); err != nil {
 		l.Close()
 		return -1, err
 	}
@@ -124,7 +124,7 @@ func (p *Proc) BindPort(port uint16) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	if err := p.pfFilterLis(pf.OpSocketBind, l, NrBind); err != nil {
+	if err := p.pfFilter(pf.OpSocketBind, pfObj{lis: l}, NrBind); err != nil {
 		l.Close()
 		return -1, err
 	}
@@ -147,7 +147,7 @@ func (p *Proc) Listen(fd, backlog int) error {
 	if f.Lis == nil {
 		return vfs.ErrInval
 	}
-	if err := p.pfFilterLis(pf.OpSocketListen, f.Lis, NrListen); err != nil {
+	if err := p.pfFilter(pf.OpSocketListen, pfObj{lis: f.Lis}, NrListen); err != nil {
 		return err
 	}
 	return f.Lis.Listen(backlog)
@@ -172,7 +172,7 @@ func (p *Proc) Accept(fd int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	if err := p.pfFilterConn(pf.OpSocketAccept, conn, NrAccept); err != nil {
+	if err := p.pfFilter(pf.OpSocketAccept, pfObj{conn: conn}, NrAccept); err != nil {
 		conn.Close()
 		return -1, err
 	}
@@ -185,7 +185,7 @@ func (p *Proc) Accept(fd int) (int, error) {
 // the client end. res carries the identity the PF should see (for
 // filesystem sockets, the socket inode's).
 func (p *Proc) connectListener(l *ipc.Listener, res pf.Resource) (*ipc.Conn, error) {
-	if err := p.pfFilterRes(pf.OpSocketConnect, res, NrConnect); err != nil {
+	if err := p.pfFilter(pf.OpSocketConnect, pfObj{res: res}, NrConnect); err != nil {
 		return nil, err
 	}
 	return p.k.IPC.Connect(l, p.cred())
@@ -246,7 +246,7 @@ func (p *Proc) Send(fd int, data []byte) (int, error) {
 	if f.Conn == nil {
 		return 0, vfs.ErrInval
 	}
-	if err := p.pfFilterConn(pf.OpSocketSend, f.Conn, NrSendmsg); err != nil {
+	if err := p.pfFilter(pf.OpSocketSend, pfObj{conn: f.Conn}, NrSendmsg); err != nil {
 		return 0, err
 	}
 	return f.Conn.Send(data)
@@ -266,7 +266,7 @@ func (p *Proc) Recv(fd, n int) ([]byte, error) {
 	if f.Conn == nil {
 		return nil, vfs.ErrInval
 	}
-	if err := p.pfFilterConn(pf.OpSocketRecv, f.Conn, NrRecvmsg); err != nil {
+	if err := p.pfFilter(pf.OpSocketRecv, pfObj{conn: f.Conn}, NrRecvmsg); err != nil {
 		return nil, err
 	}
 	return f.Conn.Recv(n)
@@ -291,7 +291,7 @@ func (p *Proc) Sendmmsg(fd int, msgs [][]byte) (int, error) {
 	}
 	sent := 0
 	for _, m := range msgs {
-		if err := p.pfFilterConn(pf.OpSocketSend, f.Conn, NrSendmmsg); err != nil {
+		if err := p.pfFilter(pf.OpSocketSend, pfObj{conn: f.Conn}, NrSendmmsg); err != nil {
 			if sent > 0 {
 				return sent, nil
 			}
@@ -327,7 +327,7 @@ func (p *Proc) Recvmmsg(fd, max, per int) ([][]byte, error) {
 	}
 	var out [][]byte
 	for len(out) < max {
-		if err := p.pfFilterConn(pf.OpSocketRecv, f.Conn, NrRecvmmsg); err != nil {
+		if err := p.pfFilter(pf.OpSocketRecv, pfObj{conn: f.Conn}, NrRecvmmsg); err != nil {
 			if len(out) > 0 {
 				return out, nil
 			}

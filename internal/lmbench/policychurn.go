@@ -1,10 +1,11 @@
 // policychurn.go measures the policy control plane — the
 // BENCH_policy.json artifact. Three questions:
 //
-//   - publish latency: how long one rule change takes to land, full
-//     recompile (pf.Config.FullRecompile) vs incremental bucket-level
-//     delta compile, across rule-base sizes — the tentpole claim is that
-//     the incremental path makes publish cost independent of base size;
+//   - publish latency: how long one rule change takes to land, a
+//     from-scratch pf.Compile of the changed chains vs the engine's
+//     incremental bucket-level delta compile, across rule-base sizes — the
+//     claim is that the incremental path makes publish cost independent of
+//     base size;
 //   - propagation: how long one canary DROP takes to reach every engine
 //     of a small fleet when streamed through policyd publishers, with the
 //     verdict flip verified in-world after every round;
@@ -123,8 +124,8 @@ func (rep *PolicyChurnReport) MaxPublishSize() int {
 }
 
 // policyProbeRule renders the inert probe rule used for publish timing:
-// non-entrypoint (so it rides the generic lane the delta compiler
-// patches), with a subject label no process carries.
+// non-entrypoint (so it lands in the input chain's own index, which the
+// delta compiler patches), with a subject label no process carries.
 const policyProbeRule = `pftables -A input -s {policy_probe_t} -d {tmp_t} -o FILE_UNLINK -j DROP`
 
 // RunPolicyChurn runs the three control-plane measurements. publishes is
@@ -148,25 +149,17 @@ func RunPolicyChurn(publishes, iters int, sizes []int) PolicyChurnReport {
 	return rep
 }
 
-// publishModes: both sides carry the full optimized config including the
-// dispatch index; "full" forces every publish through a from-scratch
-// compile, isolating the incremental delta compiler as the only delta.
-var publishModes = []struct {
-	name string
-	cfg  pf.Config
-}{
-	{"full", pf.Config{CtxCache: true, LazyCtx: true, EptChains: true, RuleIndex: true, FullRecompile: true}},
-	{"incremental", pf.Config{CtxCache: true, LazyCtx: true, EptChains: true, RuleIndex: true}},
-}
-
 // runPolicyPublish times single-rule publishes against installed bases of
 // each size: one append and one remove per pair, so the base size is
-// stable across the measured window.
+// stable across the measured window. The "incremental" cell times the
+// engine's publish, a delta compile; the "full" cell times a from-scratch
+// pf.Compile of the same chains after each change — what every publish
+// would cost without the delta compiler.
 func runPolicyPublish(publishes int, sizes []int) []PolicyPublishCell {
 	var cells []PolicyPublishCell
-	for _, m := range publishModes {
+	for _, mode := range []string{"full", "incremental"} {
 		for _, n := range sizes {
-			cfg := m.cfg
+			cfg := pf.Optimized()
 			w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
 			if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, n)); err != nil {
 				panic(err)
@@ -178,23 +171,32 @@ func runPolicyPublish(publishes int, sizes []int) []PolicyPublishCell {
 			probe := cmd.Rule
 			eng := w.Engine
 			match := func(r *pf.Rule) bool { return r == probe }
+			publish := func(change func() error) int64 {
+				if mode == "incremental" {
+					t0 := time.Now()
+					mustPolicy(change())
+					return time.Since(t0).Nanoseconds()
+				}
+				mustPolicy(change())
+				chains := eng.Program().Chains()
+				t0 := time.Now()
+				pf.Compile(chains, cfg)
+				return time.Since(t0).Nanoseconds()
+			}
+			appendProbe := func() error { return eng.Append("input", probe) }
+			removeProbe := func() error { return eng.Remove("input", match) }
 			// Warm both paths (and let lazy derived state settle).
 			for i := 0; i < 4; i++ {
-				mustPolicy(eng.Append("input", probe))
-				mustPolicy(eng.Remove("input", match))
+				publish(appendProbe)
+				publish(removeProbe)
 			}
 			st0 := eng.PublishStats()
 			samples := make([]int64, 0, publishes)
 			for i := 0; i < publishes/2; i++ {
-				t0 := time.Now()
-				mustPolicy(eng.Append("input", probe))
-				samples = append(samples, time.Since(t0).Nanoseconds())
-				t0 = time.Now()
-				mustPolicy(eng.Remove("input", match))
-				samples = append(samples, time.Since(t0).Nanoseconds())
+				samples = append(samples, publish(appendProbe), publish(removeProbe))
 			}
 			st1 := eng.PublishStats()
-			if m.name == "incremental" && st1.DeltaCompiles == st0.DeltaCompiles {
+			if mode == "incremental" && st1.DeltaCompiles == st0.DeltaCompiles {
 				panic("policychurn: incremental cell never took the delta-compile path")
 			}
 			var total int64
@@ -203,7 +205,7 @@ func runPolicyPublish(publishes int, sizes []int) []PolicyPublishCell {
 			}
 			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 			cells = append(cells, PolicyPublishCell{
-				Mode:         m.name,
+				Mode:         mode,
 				Rules:        n,
 				Publishes:    len(samples),
 				NsPerPublish: float64(total) / float64(len(samples)),
@@ -298,8 +300,8 @@ func runPolicyPropagation() PolicyPropagation {
 	return res
 }
 
-// churnWaveLines builds one inert non-entrypoint wave batch (generic-lane
-// rules, so every publish exercises the bucket delta compiler).
+// churnWaveLines builds one inert non-entrypoint wave batch (input-chain
+// index rules, so every publish exercises the bucket delta compiler).
 func churnWaveLines(tag int) []string {
 	lines := make([]string, 0, 8)
 	for i := 0; i < 8; i++ {
@@ -313,7 +315,7 @@ func churnWaveLines(tag int) []string {
 // quiet/churning rounds on one world whose rule base is the paper-scale
 // 1200 rules.
 func runPolicyDisturbance(iters int) PolicyDisturbance {
-	cfg := pf.Config{CtxCache: true, LazyCtx: true, EptChains: true, RuleIndex: true}
+	cfg := pf.Optimized()
 	w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
 	if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, 1200)); err != nil {
 		panic(err)
@@ -426,7 +428,7 @@ func mustPolicy(err error) {
 // FormatPolicyChurn renders the three measurements.
 func FormatPolicyChurn(rep PolicyChurnReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Policy publish latency: full recompile vs incremental delta (NumCPU=%d GOMAXPROCS=%d)\n",
+	fmt.Fprintf(&b, "Policy publish latency: full compile vs incremental delta (NumCPU=%d GOMAXPROCS=%d)\n",
 		rep.NumCPU, rep.GOMAXPROCS)
 	fmt.Fprintf(&b, "%-12s %8s %12s %12s %12s %9s\n", "mode", "rules", "ns/publish", "p50 ns", "p99 ns", "speedup")
 	for _, c := range rep.Publish {

@@ -1,10 +1,8 @@
 // rulescale.go measures how per-mediation cost scales with the size of the
-// installed rule base — the BENCH_rulescale.json trajectory. Two engine
-// modes are compared at each size: "linear" is the paper's fully optimized
-// configuration (EPTSPC: context caching, lazy context, entrypoint chains)
-// whose generic rules are still walked linearly, and "compiled" adds the
-// publish-time dispatch index (pf.Config.RuleIndex), which should hold
-// ns/op nearly flat as the rule count grows.
+// installed rule base — the BENCH_rulescale.json trajectory — under the
+// fully optimized configuration (pf.Optimized). The compiled decision
+// program should hold ns/op nearly flat as the rule count grows; the
+// linear walk it replaced survives only as the test oracle.
 package lmbench
 
 import (
@@ -19,9 +17,8 @@ import (
 	"pfirewall/internal/rulegen"
 )
 
-// RuleScaleCell is one (mode, rule-count) measurement.
+// RuleScaleCell is one rule-count measurement.
 type RuleScaleCell struct {
-	Mode    string  `json:"mode"` // "linear" or "compiled"
 	Rules   int     `json:"rules"`
 	Ops     int     `json:"ops"`
 	NsPerOp float64 `json:"ns_per_op"`
@@ -37,19 +34,9 @@ type RuleScaleReport struct {
 	Cells    []RuleScaleCell `json:"cells"`
 }
 
-// ruleScaleModes maps report mode names to engine configs. Both sides carry
-// every paper optimization so the delta isolates the dispatch index.
-var ruleScaleModes = []struct {
-	name string
-	cfg  pf.Config
-}{
-	{"linear", pf.Config{CtxCache: true, LazyCtx: true, EptChains: true}},
-	{"compiled", pf.Config{CtxCache: true, LazyCtx: true, EptChains: true, RuleIndex: true}},
-}
-
-// RunRuleScale sweeps the generated rule base over sizes for both modes,
-// timing the mediated open+close pair (two PF hooks plus directory-search
-// mediation per component — the workload most sensitive to rule-base size).
+// RunRuleScale sweeps the generated rule base over sizes, timing the
+// mediated open+close pair (two PF hooks plus directory-search mediation
+// per component — the workload most sensitive to rule-base size).
 func RunRuleScale(iters int, sizes []int) RuleScaleReport {
 	if iters < 1 {
 		iters = 1
@@ -58,59 +45,52 @@ func RunRuleScale(iters int, sizes []int) RuleScaleReport {
 		BenchEnv: Env(),
 		Workload: "open+close",
 	}
-	for _, m := range ruleScaleModes {
-		for _, n := range sizes {
-			cfg := m.cfg
-			w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-			if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, n)); err != nil {
+	for _, n := range sizes {
+		cfg := pf.Optimized()
+		w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
+		if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, n)); err != nil {
+			panic(err)
+		}
+		p := parallelProc(w)
+		body := func() {
+			fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
+			if err != nil {
 				panic(err)
 			}
-			p := parallelProc(w)
-			body := func() {
-				fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-				if err != nil {
-					panic(err)
-				}
-				p.Close(fd)
-			}
-			for i := 0; i < iters/10+1; i++ {
-				body()
-			}
-			runtime.GC()
-			m0 := readMem()
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				body()
-			}
-			el := time.Since(start)
-			m1 := readMemNow()
-			rep.Cells = append(rep.Cells, RuleScaleCell{
-				Mode:        m.name,
-				Rules:       n,
-				Ops:         iters,
-				NsPerOp:     float64(el.Nanoseconds()) / float64(iters),
-				AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(iters),
-				BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(iters),
-			})
+			p.Close(fd)
 		}
+		for i := 0; i < iters/10+1; i++ {
+			body()
+		}
+		runtime.GC()
+		m0 := readMem()
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			body()
+		}
+		el := time.Since(start)
+		m1 := readMemNow()
+		rep.Cells = append(rep.Cells, RuleScaleCell{
+			Rules:       n,
+			Ops:         iters,
+			NsPerOp:     float64(el.Nanoseconds()) / float64(iters),
+			AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(iters),
+			BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(iters),
+		})
 	}
 	return rep
 }
 
 // FormatRuleScale renders the sweep as a table with growth factors
-// relative to each mode's smallest size.
+// relative to the smallest size.
 func FormatRuleScale(rep RuleScaleReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Rule-base scaling, %s (ns/op; NumCPU=%d GOMAXPROCS=%d)\n",
 		rep.Workload, rep.NumCPU, rep.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-10s %10s %12s %8s %10s\n", "mode", "rules", "ns/op", "vs min", "allocs/op")
-	base := map[string]float64{}
+	fmt.Fprintf(&b, "%10s %12s %8s %10s\n", "rules", "ns/op", "vs min", "allocs/op")
 	for _, c := range rep.Cells {
-		if _, ok := base[c.Mode]; !ok {
-			base[c.Mode] = c.NsPerOp
-		}
-		fmt.Fprintf(&b, "%-10s %10d %12.1f %7.2fx %10.2f\n",
-			c.Mode, c.Rules, c.NsPerOp, c.NsPerOp/base[c.Mode], c.AllocsPerOp)
+		fmt.Fprintf(&b, "%10d %12.1f %7.2fx %10.2f\n",
+			c.Rules, c.NsPerOp, c.NsPerOp/rep.Cells[0].NsPerOp, c.AllocsPerOp)
 	}
 	return b.String()
 }

@@ -1,11 +1,11 @@
 // verifyscale.go measures the symbolic policy verifier — the
 // BENCH_verify.json artifact. The question: how does a full invariant
 // sweep (pfverify.Check over every abstract point in scope) scale with
-// the installed rule-base size? The verifier prunes with the same
-// bucket-level dispatch index the hot path compiled (per-lane rule lists
-// keyed by op and subject SID), so sweep cost should grow with the label
-// universe, not the raw rule count — at deployment scale (10k rules) the
-// whole proof must still land under a CI-friendly wall-clock budget.
+// the installed rule-base size? The verifier interprets the engine's own
+// compiled decision program, whose buckets are keyed by op and subject
+// SID, so sweep cost should grow with the label universe, not the raw
+// rule count — at deployment scale (10k rules) the whole proof must still
+// land under a CI-friendly wall-clock budget.
 package lmbench
 
 import (

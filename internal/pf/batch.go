@@ -30,7 +30,7 @@ import (
 // pointer.
 type Batch struct {
 	e   *Engine
-	rs  *ruleset
+	rs  *Program
 	ob  *engineObs
 	ps  *ProcState
 	pid int
@@ -120,11 +120,11 @@ func (b *Batch) Filter(req *Request) Verdict {
 	// The mangle table runs first for resource requests (it may mark state
 	// or log but can also issue verdicts, as in iptables).
 	if start == "input" {
-		if mangle := rs.chains["mangle/input"]; mangle != nil && len(mangle.Rules) > 0 {
+		if mangle := rs.index["mangle/input"]; mangle != nil && len(mangle.chain.Rules) > 0 {
 			if sp != nil {
 				sp.PushChain("mangle/input")
 			}
-			if act := e.runChain(ctx, rs, mangle, false); act.Final {
+			if act := e.run(ctx, rs, mangle); act.Final {
 				v, final = act.Verdict, true
 			}
 		}
@@ -133,24 +133,29 @@ func (b *Batch) Filter(req *Request) Verdict {
 		if sp != nil {
 			sp.PushChain(start)
 		}
-		if act := e.runChain(ctx, rs, rs.chains[start], e.cfg.EptChains); act.Final {
-			v, final = act.Verdict, true
+		if ci := rs.index[start]; ci != nil {
+			if act := e.run(ctx, rs, ci); act.Final {
+				v, final = act.Verdict, true
+			}
 		}
 	}
 
 	// Entrypoint-specific chains: only rules whose entrypoint appears on
-	// the current stack are considered (Section 4.3). If none of the
-	// process's mapped binaries (or interpreter) can appear in the index,
-	// the stack is not even unwound.
-	if !final && e.cfg.EptChains && rs.hasEptRules && mayMatchEpt(rs, req.Proc) {
+	// the current stack are considered (Section 4.3), keys in stack order.
+	// If none of the process's mapped binaries (or interpreter) can appear
+	// in a key, the stack is not even unwound. A jump walks its target and
+	// resumes the scan; RETURN from an entrypoint rule is ignored.
+	if !final && rs.eptChains && rs.hasEptRules && mayMatchEpt(rs, req.Proc) {
 		eps, _ := ctx.Entrypoints()
+		subject := req.Proc.SubjectSID()
 	scan:
 		for _, ep := range eps {
-			for _, r := range rs.eptIndex[entryKey{start, ep.Path, ep.Off}] {
+			cur := rs.EntryCursor(start, ep, req.Op, subject)
+			for r := cur.NextRule(); r != nil; r = cur.NextRule() {
 				act := e.evalRule(ctx, r)
 				if !act.Final && act.Jump != "" {
-					if c, ok := rs.chains[act.Jump]; ok {
-						act = e.traverse(ctx, rs, c, false)
+					if tgt := rs.index[act.Jump]; tgt != nil {
+						act = e.run(ctx, rs, tgt)
 					}
 				}
 				if act.Final {

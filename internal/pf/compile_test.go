@@ -10,14 +10,15 @@ import (
 
 // --- differential property test ----------------------------------------
 //
-// The compiled dispatch index must be observationally identical to linear
+// The compiled decision program must be observationally identical to linear
 // traversal: same verdicts, same per-rule hit counters, same LOG emissions,
 // same STATE side effects — over arbitrary rulesets (jumps, returns, user
 // chains, negated sets, entrypoint rules, inserts, removals). We generate
-// randomized ruleset/request pairs and run each through two engines whose
-// configs differ ONLY in RuleIndex, then compare everything observable.
-// (Comparing e.g. FULL against Optimized directly would conflate the index
-// with EptChains, which reorders entrypoint-rule evaluation by design.)
+// randomized ruleset/request pairs and run each through twin engines of one
+// config, one deciding by the compiled program and one by the linear oracle
+// (oracle_test.go), then compare everything observable. (Comparing e.g. FULL
+// against Optimized directly would conflate the index with EptChains, which
+// reorders entrypoint-rule evaluation by design.)
 
 type diffRNG struct{ s uint64 }
 
@@ -250,10 +251,8 @@ func TestCompiledDispatchDifferential(t *testing.T) {
 		}
 
 		for _, base := range baseConfigs {
-			withIdx := base
-			withIdx.RuleIndex = true
 			lin := newDiffEngine(t, pol, base, specs, userChains)
-			idx := newDiffEngine(t, pol, withIdx, specs, userChains)
+			idx := newDiffEngine(t, pol, base, specs, userChains)
 			pairs++
 
 			for si, st := range steps {
@@ -274,11 +273,10 @@ func TestCompiledDispatchDifferential(t *testing.T) {
 					if !st.noObj {
 						req.Obj = &fakeRes{sid: st.objSID, id: st.objID}
 					}
-					v := d.e.Filter(req)
 					if d == lin {
-						vLin = v
+						vLin = linearFilter(d.e, req)
 					} else {
-						vIdx = v
+						vIdx = d.e.Filter(req)
 					}
 				}
 				if vLin != vIdx {
@@ -314,7 +312,7 @@ func TestCompiledDispatchDifferential(t *testing.T) {
 // exact-SID bucket rule installed after a wildcard rule must not overtake it.
 func TestCompiledFirstMatchOrder(t *testing.T) {
 	pol := testPolicy()
-	e := New(pol, Config{RuleIndex: true})
+	e := New(pol, Config{})
 	httpd := sid(pol, "httpd_t")
 	wild := &Rule{Ops: NewOpSet(OpFileOpen), Target: Accept()} // no subject: wildcard bucket
 	exact := &Rule{Subject: NewSIDSet(false, httpd), Ops: NewOpSet(OpFileOpen), Target: Drop()}
@@ -342,12 +340,12 @@ func TestCompiledFirstMatchOrder(t *testing.T) {
 	}
 }
 
-// TestCompiledJumpFallback pins the conservative control-flow fallback:
-// a jump rule reached through the index must traverse its user chain and
-// then resume with the rules after the jump.
+// TestCompiledJumpFallback pins the jump and return edges: a jump rule
+// reached through the index must dispatch its user chain and then resume
+// with the rules after the jump.
 func TestCompiledJumpFallback(t *testing.T) {
 	pol := testPolicy()
-	e := New(pol, Config{RuleIndex: true})
+	e := New(pol, Config{})
 	if err := e.NewChain("side"); err != nil {
 		t.Fatal(err)
 	}
@@ -481,9 +479,7 @@ func TestFilterSurvivesMissingMangleChain(t *testing.T) {
 	e.writeMu.Lock()
 	rs := e.rs.Load().clone()
 	delete(rs.chains, "mangle/input")
-	if e.cfg.RuleIndex {
-		rs.compiled = compileRuleset(rs, e.cfg)
-	}
+	rs.compile()
 	e.rs.Store(rs)
 	e.writeMu.Unlock()
 

@@ -248,7 +248,7 @@ func ParseRef(s string) (ValueRef, bool) {
 type EvalCtx struct {
 	Req    *Request
 	engine *Engine
-	rs     *ruleset
+	rs     *Program
 
 	rulesEvaluated uint64
 	ctxCollections uint64
@@ -282,7 +282,7 @@ type EvalCtx struct {
 // context served. The entries slice reference is dropped, not reused — a
 // cached unwind re-attaches from ProcState in O(1), and log consumers may
 // still be aliasing the old slice.
-func (c *EvalCtx) reset(req *Request, e *Engine, rs *ruleset) {
+func (c *EvalCtx) reset(req *Request, e *Engine, rs *Program) {
 	*c = EvalCtx{Req: req, engine: e, rs: rs}
 }
 

@@ -17,6 +17,10 @@ import (
 //	CONCACHE — Config{CtxCache: true}
 //	LAZYCON  — Config{CtxCache: true, LazyCtx: true}
 //	EPTSPC   — Config{CtxCache: true, LazyCtx: true, EptChains: true}
+//
+// Every configuration dispatches through the compiled decision program
+// (compile.go); the switches change which context is collected when and
+// how entrypoint rules are routed, never which verdict a request gets.
 type Config struct {
 	// CtxCache caches collected context (entrypoints) across the multiple
 	// resource requests of one system call (paper Section 4.2).
@@ -27,22 +31,11 @@ type Config struct {
 	// EptChains indexes entrypoint-bearing rules into per-entrypoint
 	// chains so only applicable rules are traversed (paper Section 4.3).
 	EptChains bool
-	// RuleIndex compiles each built-in chain's generic rules into an
-	// (op, subject-SID) dispatch index at publish time, so per-request cost
-	// scales with the number of possibly-matching rules rather than the
-	// total rule count. Goes beyond the paper's EPTSPC: entrypoint rules
-	// were already indexed; this indexes everything else.
-	RuleIndex bool
-	// FullRecompile forces every publish to rebuild the dispatch index from
-	// scratch instead of patching the previous snapshot's. Incremental
-	// publish is always verdict-identical (the differential tests prove it);
-	// this exists as the benchmark baseline and a diagnostic escape hatch.
-	FullRecompile bool
 }
 
 // Optimized returns the fully optimized configuration (the deployment mode).
 func Optimized() Config {
-	return Config{CtxCache: true, LazyCtx: true, EptChains: true, RuleIndex: true}
+	return Config{CtxCache: true, LazyCtx: true, EptChains: true}
 }
 
 // Stats counts engine activity; read by benchmarks and tests. Counters are
@@ -67,10 +60,8 @@ type Chain struct {
 	// jumps). Like Rule.Hits it is shared across copy-on-write ruleset
 	// snapshots, so counts survive rule updates.
 	Traversals *Counter
-	// generic holds the traversal list when entrypoint rules are indexed
-	// out of the chain: only rules without an entrypoint remain, so the
-	// per-request scan never touches inapplicable entrypoint rules.
-	generic []*Rule
+	// ords holds each rule's order key, parallel to Rules (compile.go).
+	ords []int64
 }
 
 // newChain builds a chain with its traversal counter armed.
@@ -78,86 +69,37 @@ func newChain(name string) *Chain {
 	return &Chain{Name: name, Traversals: &Counter{}}
 }
 
-// traversalRules returns the list Filter walks for this chain.
-func (c *Chain) traversalRules(indexed bool) []*Rule {
-	if indexed && (c.Name == "input" || c.Name == "syscallbegin") {
-		return c.generic
-	}
-	return c.Rules
-}
-
 // clone returns a shallow-rule deep-slice copy for copy-on-write updates.
 func (c *Chain) clone() *Chain {
 	n := &Chain{Name: c.Name, Traversals: c.Traversals}
 	n.Rules = append([]*Rule(nil), c.Rules...)
-	n.generic = append([]*Rule(nil), c.generic...)
+	n.ords = append([]int64(nil), c.ords...)
 	return n
 }
 
-// entryKey indexes entrypoint-specific chains. The chain is part of the
-// key so input-chain rules never run from the syscallbegin hook.
-type entryKey struct {
-	chain   string
-	program string
-	off     uint64
-}
-
-// ruleset is an immutable snapshot of the installed rules. The filter path
-// reads it through an atomic pointer with no locking — the same
-// read-copy-update discipline in-kernel packet filters use so rule updates
-// never stall the hot path (and so the engine stays re-entrant and
-// preemptible, paper Section 5.1).
-type ruleset struct {
-	chains      map[string]*Chain
-	eptIndex    map[entryKey][]*Rule
-	eptPrograms map[string]bool
-	hasEptRules bool
-	allNeeds    CtxKind
-	totalRules  int
-	// opsPresent has bit op set when some installed rule could apply to
-	// op (a rule with an empty op set applies to every op). The kernel
-	// consults it through MayFilter to skip request construction entirely
-	// for operations no rule mediates.
-	opsPresent uint32
-	// compiled holds the per-chain dispatch indexes when Config.RuleIndex
-	// is set; nil otherwise. Derived incrementally from the previous
-	// snapshot's on publish (or rebuilt from scratch, see compile.go) and
-	// then as immutable as the rest of the snapshot.
-	compiled map[string]*chainIndex
-	// gen identifies this snapshot. Generations are globally unique (drawn
-	// from rulesetGen), so per-process caches keyed on gen can never alias
-	// a snapshot of a different engine.
-	gen uint64
-	// version is this snapshot's position in the engine's publish sequence,
-	// monotonic per engine. Unlike gen it is stable across rollback: rolling
-	// back re-exposes the old snapshot with its old version, so control-plane
-	// clients can tell exactly which ruleset is enforcing.
-	version uint64
-}
-
-// rulesetGen issues snapshot generations; see ruleset.gen.
+// rulesetGen issues snapshot generations; see Program.gen.
 var rulesetGen atomic.Uint64
 
 // clone returns a shallow copy for transactional copy-on-write updates:
-// the chains map is copied but the *Chain values, entrypoint-index slices,
-// and compiled buckets stay shared with rs until a Tx mutation owns them
-// (DESIGN.md §12). Cloning is therefore O(chains), not O(rules) — what keeps
-// a one-rule publish cheap at 10k rules.
-func (rs *ruleset) clone() *ruleset {
-	n := &ruleset{
-		chains:      make(map[string]*Chain, len(rs.chains)),
-		eptIndex:    rs.eptIndex,
-		eptPrograms: rs.eptPrograms,
-		hasEptRules: rs.hasEptRules,
-		allNeeds:    rs.allNeeds,
-		totalRules:  rs.totalRules,
-		opsPresent:  rs.opsPresent,
+// the chains map is copied but the *Chain values and the compiled indexes
+// stay shared with p until a Tx mutation owns them (DESIGN.md §12).
+// Cloning is therefore O(chains), not O(rules) — what keeps a one-rule
+// publish cheap at 10k rules.
+func (p *Program) clone() *Program {
+	n := &Program{
+		chains:      make(map[string]*Chain, len(p.chains)),
+		eptChains:   p.eptChains,
+		eptPrograms: p.eptPrograms,
+		hasEptRules: p.hasEptRules,
+		allNeeds:    p.allNeeds,
+		totalRules:  p.totalRules,
+		opsPresent:  p.opsPresent,
 	}
-	for name, c := range rs.chains {
+	for name, c := range p.chains {
 		n.chains[name] = c
 	}
-	// compiled is intentionally not copied: publish derives it after the
-	// mutation, and gen/version are reissued at publish time.
+	// The indexes are intentionally not copied: publish derives them after
+	// the mutation, and gen/version are reissued at publish time.
 	return n
 }
 
@@ -170,16 +112,17 @@ type Engine struct {
 
 	// writeMu serializes rule-base writers; readers go through rs.
 	writeMu sync.Mutex
-	rs      atomic.Pointer[ruleset]
+	rs      atomic.Pointer[Program]
 
 	// Control-plane state, all under writeMu (see tx.go): versionCtr issues
 	// snapshot versions; history is the rollback ring of previously
-	// published snapshots; forceFull makes the next publish renumber order
-	// keys from scratch (set by Rollback, whose restored snapshot may
-	// predate a renumbering).
+	// published snapshots.
 	versionCtr uint64
-	history    []*ruleset
-	forceFull  bool
+	history    []*Program
+	// fullRecompile forces every publish to compile from scratch instead
+	// of patching the previous snapshot's program. Tests set it to check
+	// that incremental publishes are verdict-identical.
+	fullRecompile bool
 
 	// Publish-path counters (PublishStats); written under writeMu, read
 	// lock-free by benchmarks and the control plane.
@@ -222,25 +165,18 @@ type LogRecord struct {
 // New creates an engine over policy with the given optimization config.
 func New(policy *mac.Policy, cfg Config) *Engine {
 	e := &Engine{policy: policy, cfg: cfg}
-	rs := &ruleset{
-		chains: map[string]*Chain{
-			"input":        newChain("input"),
-			"syscallbegin": newChain("syscallbegin"),
-			// The mangle table's built-in chain runs before filter/input,
-			// mirroring iptables table precedence (paper Table 3 lists
-			// tables [filter | mangle]). Mangle rules typically carry
-			// side-effecting targets (STATE, LOG) rather than verdicts.
-			"mangle/input": newChain("mangle/input"),
-		},
-		eptIndex:    make(map[entryKey][]*Rule),
-		eptPrograms: make(map[string]bool),
-		gen:         rulesetGen.Add(1),
-		version:     1,
+	// The mangle table's built-in chain runs before filter/input, mirroring
+	// iptables table precedence (paper Table 3 lists tables [filter |
+	// mangle]). Mangle rules typically carry side-effecting targets (STATE,
+	// LOG) rather than verdicts.
+	chains := make(map[string]*Chain, len(builtinChains))
+	for _, name := range builtinChains {
+		chains[name] = newChain(name)
 	}
+	rs := Compile(chains, cfg)
+	rs.gen = rulesetGen.Add(1)
+	rs.version = 1
 	e.versionCtr = 1
-	if cfg.RuleIndex {
-		rs.compiled = compileRuleset(rs, cfg)
-	}
 	e.rs.Store(rs)
 	return e
 }
@@ -250,6 +186,10 @@ func (e *Engine) Policy() *mac.Policy { return e.policy }
 
 // Config returns the engine's optimization configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// Program returns the currently enforcing decision program, an immutable
+// snapshot.
+func (e *Engine) Program() *Program { return e.rs.Load() }
 
 // NewChain creates a user-defined chain.
 func (e *Engine) NewChain(name string) error {
@@ -285,8 +225,7 @@ func (e *Engine) Insert(chain string, r *Rule) error {
 	return e.Transaction(func(tx *Tx) error { return tx.Insert(chain, r) })
 }
 
-// Remove deletes the first rule in chain for which match returns true,
-// repairing the generic list and the entrypoint index.
+// Remove deletes the first rule in chain for which match returns true.
 func (e *Engine) Remove(chain string, match func(*Rule) bool) error {
 	return e.Transaction(func(tx *Tx) error { return tx.Remove(chain, match) })
 }
@@ -342,7 +281,7 @@ func (e *Engine) Filter(req *Request) Verdict {
 // in the process's PFState keyed on the mapping generation and the ruleset
 // generation — an mmap/execve or a rule update each bump their counter and
 // naturally invalidate the memo.
-func mayMatchEpt(rs *ruleset, p Process) bool {
+func mayMatchEpt(rs *Program, p Process) bool {
 	if lang, _ := p.Interp(); lang != 0 {
 		return true
 	}
@@ -365,79 +304,6 @@ func mayMatchEpt(rs *ruleset, p Process) bool {
 	ps.eptMemoRSGen = rs.gen
 	ps.eptMemoValid = true
 	return found
-}
-
-// runChain evaluates one built-in chain for the request, through the
-// compiled dispatch index when the snapshot carries one for this chain and
-// linear traversal otherwise. Verdict, hit-counter, and LOG behavior are
-// identical either way; only the number of rules inspected differs.
-func (e *Engine) runChain(ctx *EvalCtx, rs *ruleset, c *Chain, skipEpt bool) Action {
-	if c == nil {
-		return Continue
-	}
-	if rs.compiled != nil {
-		if ci := rs.compiled[c.Name]; ci != nil {
-			return e.dispatch(ctx, rs, ci)
-		}
-	}
-	return e.traverse(ctx, rs, c, skipEpt)
-}
-
-// traverse walks a chain (honoring jumps) using the per-process traversal
-// stack. skipEpt omits entrypoint rules in built-in chains (they are
-// handled by the entrypoint index).
-func (e *Engine) traverse(ctx *EvalCtx, rs *ruleset, start *Chain, skipEpt bool) Action {
-	return e.traverseFrom(ctx, rs, start, 0, skipEpt, true)
-}
-
-// traverseFrom is traverse starting at rule index from within start's
-// traversal list. countEntry controls whether entering start increments its
-// Traversals counter: the compiled dispatch path has already counted the
-// chain entry when it falls back here, and must not count it twice.
-func (e *Engine) traverseFrom(ctx *EvalCtx, rs *ruleset, start *Chain, from int, skipEpt bool, countEntry bool) Action {
-	ps := ctx.Req.Proc.PFState()
-	pid := ctx.Req.Proc.PID()
-	// Per-process traversal state (paper Section 5.1): we reuse the
-	// process's stack buffer; a re-entrant call simply appends deeper
-	// frames and unwinds them before returning.
-	base := len(ps.traversal)
-	ps.traversal = append(ps.traversal, traversalFrame{chain: start, index: from})
-	defer func() { ps.traversal = ps.traversal[:base] }()
-	if countEntry && start.Traversals != nil {
-		start.Traversals.Add(pid, 1)
-	}
-
-	for len(ps.traversal) > base {
-		top := &ps.traversal[len(ps.traversal)-1]
-		rules := top.chain.traversalRules(skipEpt)
-		if top.index >= len(rules) {
-			ps.traversal = ps.traversal[:len(ps.traversal)-1]
-			continue
-		}
-		r := rules[top.index]
-		top.index++
-		act := e.evalRule(ctx, r)
-		if act.Final {
-			return act
-		}
-		if act.Return {
-			// Pop back to the calling chain (no-op at the base chain).
-			ps.traversal = ps.traversal[:len(ps.traversal)-1]
-			continue
-		}
-		if act.Jump != "" {
-			if c, exists := rs.chains[act.Jump]; exists {
-				ps.traversal = append(ps.traversal, traversalFrame{chain: c, index: 0})
-				if c.Traversals != nil {
-					c.Traversals.Add(pid, 1)
-				}
-				if sp := ctx.Req.Span; sp != nil {
-					sp.PushChain(c.Name)
-				}
-			}
-		}
-	}
-	return Continue
 }
 
 // evalRule matches one rule and fires its target on success.

@@ -142,14 +142,6 @@ type Rule struct {
 	// analyzer findings and listings can point at the offending line. Zero
 	// for rules built programmatically.
 	Src Pos
-
-	// ord is the rule's stable order key within its chain's compiled
-	// traversal list (compile.go). Unlike a positional index it survives
-	// neighbor inserts/removes, which is what lets a publish patch only the
-	// dispatch buckets a delta touches. Assigned under the engine's write
-	// lock (gap-allocated on install, renumbered on full recompile); the
-	// mediation path never reads it — dispatch reads the indexedRule copy.
-	ord int64
 }
 
 // needs aggregates the context demanded by the rule's matches and target.

@@ -43,8 +43,9 @@ type ProcState struct {
 	eptMemoMapGen   uint64
 	eptMemoRSGen    uint64
 
-	// traversal is the reusable chain-traversal stack.
-	traversal []traversalFrame
+	// traversal is the reusable chain-traversal stack: one program cursor
+	// per chain entered and not yet left.
+	traversal []Cursor
 
 	// ctxFree is a LIFO free list of evaluation contexts. Mediation is
 	// single-flow per process (the kernel never runs two syscalls of one
@@ -107,10 +108,4 @@ func (ps *ProcState) Clone() *ProcState {
 		n.Dict[k] = v
 	}
 	return n
-}
-
-// traversalFrame records a position within a chain during rule traversal.
-type traversalFrame struct {
-	chain *Chain
-	index int
 }

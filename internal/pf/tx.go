@@ -2,20 +2,20 @@ package pf
 
 // Transactional rule-base updates (DESIGN.md §12). A Tx batches any number
 // of rule mutations into one atomic publish: one cloned snapshot, one
-// generation bump, one dispatch-index derivation, one pointer store. The
+// generation bump, one program derivation, one pointer store. The
 // mediation path never blocks on a publish and never observes a partial
 // batch — it either runs against the previous snapshot or the new one.
 //
 // Ownership discipline: Tx.rs starts as a shallow clone sharing every
-// *Chain, entrypoint-index slice, and compiled bucket with the published
-// snapshot. The first mutation of a chain copies it (ownChain); the first
-// entrypoint-index mutation copies the index map (ownEpt); slice mutations
-// always produce fresh slices. Shared state is therefore never written —
-// concurrent readers of any historical snapshot (including ones a Rollback
-// may re-expose) keep an immutable view.
+// *Chain and compiled index with the published snapshot. The first
+// mutation of a chain copies it (ownChain); compiled indexes are only ever
+// replaced by patched copies (compile.go). Shared state is therefore never
+// written — concurrent readers of any historical snapshot (including ones a
+// Rollback may re-expose) keep an immutable view.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -23,23 +23,14 @@ import (
 // published snapshots Rollback can restore, newest first.
 const historyCap = 8
 
-// ruleDelta records one compiled-chain mutation for incremental
-// recompilation: rule r entered (add) or left the chain's traversal list.
-type ruleDelta struct {
-	add bool
-	r   *Rule
-}
-
 // Tx is an in-flight rule-base transaction. All methods run under the
 // engine's write lock (Transaction holds it); a Tx must not escape the
 // callback it is passed to.
 type Tx struct {
-	e    *Engine
-	prev *ruleset
-	rs   *ruleset
+	e  *Engine
+	rs *Program
 
 	owned     map[string]bool // chains copied from prev
-	eptOwned  bool            // eptIndex/eptPrograms maps copied
 	delta     map[string][]ruleDelta
 	full      bool     // bulk change: skip deltas, full-compile at publish
 	derived   bool     // a removal may have narrowed the derived summaries
@@ -48,63 +39,59 @@ type Tx struct {
 
 // Transaction runs fn against a transactional view of the rule base and, if
 // fn succeeds, publishes every mutation as one new snapshot (one version,
-// one generation, one dispatch-index derivation). If fn returns an error
+// one generation, one program derivation). If fn returns an error
 // nothing is published and the error is returned.
 func (e *Engine) Transaction(fn func(*Tx) error) error {
 	return e.TransactionGated(fn, nil)
 }
 
 // TransactionGated is Transaction with a pre-publish gate: after fn succeeds
-// the gate inspects the would-be chains (an immutable view); a non-nil error
-// vetoes the publish. The control plane uses this to run pfcheck over each
-// delta before it can reach the mediation path.
-func (e *Engine) TransactionGated(fn func(*Tx) error, gate func(chains map[string]*Chain) error) error {
+// the transaction's snapshot is compiled and the gate inspects that
+// candidate program — exactly what would be published, and immutable; a
+// non-nil error vetoes the publish. The control plane uses this to run
+// pfcheck and the pfverify refinement check over each delta before it can
+// reach the mediation path. A vetoed compile leaves no trace: it wrote
+// nothing the live snapshot shares.
+func (e *Engine) TransactionGated(fn func(*Tx) error, gate func(*Program) error) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	prev := e.rs.Load()
-	tx := &Tx{e: e, prev: prev, rs: prev.clone(), owned: make(map[string]bool)}
+	tx := &Tx{e: e, rs: prev.clone(), owned: make(map[string]bool)}
 	if err := fn(tx); err != nil {
 		return err
 	}
 	if tx.derived {
-		tx.recomputeDerived()
+		tx.rs.summarize()
+	}
+	full := tx.full || e.fullRecompile || !tx.rs.patch(prev, tx.delta)
+	if full {
+		tx.rs.compile()
 	}
 	if gate != nil {
-		if err := gate(tx.rs.chains); err != nil {
+		if err := gate(tx.rs); err != nil {
 			return err
 		}
 	}
-	e.publishLocked(tx)
+	e.publishLocked(tx.rs, full)
 	for _, name := range tx.newChains {
 		e.registerChainObs(name)
 	}
 	return nil
 }
 
-// publishLocked derives the new snapshot's dispatch index (incrementally
-// when the transaction recorded a clean delta, from scratch otherwise),
-// stamps version and generation, pushes the previous snapshot onto the
-// rollback ring, and atomically exposes the new snapshot to readers.
-func (e *Engine) publishLocked(tx *Tx) {
-	n := tx.rs
+// publishLocked stamps the compiled snapshot's version and generation,
+// pushes the previous snapshot onto the rollback ring, and atomically
+// exposes the new snapshot to readers.
+func (e *Engine) publishLocked(n *Program, full bool) {
 	e.versionCtr++
 	n.version = e.versionCtr
 	n.gen = rulesetGen.Add(1)
-	if e.cfg.RuleIndex {
-		var compiled map[string]*chainIndex
-		if !tx.full && !e.cfg.FullRecompile && !e.forceFull && tx.prev.compiled != nil {
-			compiled = patchRuleset(tx.prev.compiled, n, tx.delta, e.cfg)
-		}
-		if compiled == nil {
-			compiled = compileRuleset(n, e.cfg)
-			e.forceFull = false
-			e.fullCompiles.Add(1)
-		} else {
-			e.deltaCompiles.Add(1)
-		}
-		n.compiled = compiled
+	if full {
+		e.fullCompiles.Add(1)
+	} else {
+		e.deltaCompiles.Add(1)
 	}
-	e.history = append(e.history, tx.prev)
+	e.history = append(e.history, e.rs.Load())
 	if len(e.history) > historyCap {
 		copy(e.history, e.history[len(e.history)-historyCap:])
 		e.history = e.history[:historyCap]
@@ -127,10 +114,6 @@ func (e *Engine) Rollback() (uint64, error) {
 	e.history[len(e.history)-1] = nil
 	e.history = e.history[:len(e.history)-1]
 	e.rs.Store(prev)
-	// A full recompile since prev was published may have renumbered rule
-	// order keys; prev's index holds the old ones. Patching on top of it
-	// would interleave incompatible keys, so the next publish renumbers.
-	e.forceFull = true
 	e.rollbacks.Add(1)
 	return prev.version, nil
 }
@@ -176,55 +159,26 @@ func (tx *Tx) ownChain(name string) *Chain {
 	return n
 }
 
-// ownEpt copies the entrypoint index map (sharing its slices) and the
-// program set before their first mutation.
-func (tx *Tx) ownEpt() {
-	if tx.eptOwned {
-		return
-	}
-	rs := tx.rs
-	idx := make(map[entryKey][]*Rule, len(rs.eptIndex))
-	for k, v := range rs.eptIndex {
-		idx[k] = v
-	}
-	rs.eptIndex = idx
-	progs := make(map[string]bool, len(rs.eptPrograms))
-	for k := range rs.eptPrograms {
-		progs[k] = true
-	}
-	rs.eptPrograms = progs
-	tx.eptOwned = true
-}
-
 // bulkDeltaMax bounds the per-chain delta a publish will patch. Each patched
 // rule copies the buckets it lands in, so a huge batch degrades toward
 // O(batch × bucket) — past this point a from-scratch compile is cheaper and
 // the transaction flips to full.
 const bulkDeltaMax = 256
 
-// recordDelta notes that r entered or left a compiled chain's traversal
-// list. Pointless once the transaction went bulk (full) or when the chain
-// is not dispatch-compiled.
-func (tx *Tx) recordDelta(chain string, add bool, r *Rule) {
-	if !tx.e.cfg.RuleIndex || tx.full || !compiledChain(chain) {
+// recordDelta notes that r, with order key ord, entered or left chain.
+// Pointless once the transaction went bulk (full).
+func (tx *Tx) recordDelta(chain string, add bool, r *Rule, ord int64) {
+	if tx.full {
 		return
 	}
 	if tx.delta == nil {
 		tx.delta = make(map[string][]ruleDelta)
 	}
-	tx.delta[chain] = append(tx.delta[chain], ruleDelta{add: add, r: r})
+	tx.delta[chain] = append(tx.delta[chain], ruleDelta{add: add, r: r, ord: ord})
 	if len(tx.delta[chain]) > bulkDeltaMax {
 		tx.full = true
 		tx.delta = nil
 	}
-}
-
-// eptIndexed reports whether a rule is routed to the entrypoint index (and
-// thus out of the chain's compiled traversal list) under the engine's
-// configuration. This is a pure function of the rule and chain, so install,
-// removal, and replacement all agree on which lane a rule lives in.
-func (tx *Tx) eptIndexed(chain string, r *Rule) bool {
-	return r.EntrySet && tx.e.cfg.EptChains && (chain == "input" || chain == "syscallbegin")
 }
 
 // --- mutations ----------------------------------------------------------
@@ -235,62 +189,60 @@ func (tx *Tx) Append(chain string, r *Rule) error { return tx.install(chain, r, 
 // Insert adds a rule at the head of chain.
 func (tx *Tx) Insert(chain string, r *Rule) error { return tx.install(chain, r, true) }
 
-func (tx *Tx) install(chain string, r *Rule, front bool) error {
+// checkRule validates a rule about to enter a chain.
+func checkRule(r *Rule) error {
 	if r.Target == nil {
 		return fmt.Errorf("pf: rule without target")
 	}
 	if r.EntrySet && r.Program == "" {
 		return fmt.Errorf("pf: entrypoint match requires a program (-p with -i)")
 	}
-	c := tx.ownChain(chain)
-	if c == nil {
-		return fmt.Errorf("pf: no such chain %q", chain)
+	// Requests enter built-in chains only at their hooks, as in iptables;
+	// a jump must name a user chain.
+	if j, ok := r.Target.(*JumpTarget); ok && slices.Contains(builtinChains, j.ChainName) {
+		return fmt.Errorf("pf: jump target %q is a built-in chain", j.ChainName)
 	}
+	return nil
+}
+
+// widen folds a newly installed rule into the snapshot's summaries.
+func (tx *Tx) widen(r *Rule) {
 	rs := tx.rs
 	rs.allNeeds |= r.needs()
-	rs.totalRules++
 	rs.opsPresent |= opsMaskOf(r)
 	if r.EntrySet {
 		rs.hasEptRules = true
 	}
-	if tx.eptIndexed(chain, r) {
-		tx.ownEpt()
-		rs.eptPrograms[r.Program] = true
-		k := entryKey{chain, r.Program, r.Entry}
+}
+
+func (tx *Tx) install(chain string, r *Rule, front bool) error {
+	if err := checkRule(r); err != nil {
+		return err
+	}
+	c := tx.ownChain(chain)
+	if c == nil {
+		return fmt.Errorf("pf: no such chain %q", chain)
+	}
+	tx.widen(r)
+	tx.rs.totalRules++
+	// Order keys step outward from the chain's current extremes, so the
+	// patch can splice r in without disturbing its neighbors.
+	ord := ordGap
+	if n := len(c.ords); n > 0 {
 		if front {
-			rs.eptIndex[k] = append([]*Rule{r}, rs.eptIndex[k]...)
+			ord = c.ords[0] - ordGap
 		} else {
-			// Fresh slice: the previous one may be shared with published
-			// snapshots, and append could write into shared backing.
-			old := rs.eptIndex[k]
-			rules := make([]*Rule, 0, len(old)+1)
-			rules = append(rules, old...)
-			rs.eptIndex[k] = append(rules, r)
+			ord = c.ords[n-1] + ordGap
 		}
-	} else {
-		// Gap-allocate the order key from the traversal list's extremes so
-		// the dispatch patch can splice without disturbing neighbors.
-		list := c.traversalRules(tx.e.cfg.EptChains)
-		switch {
-		case len(list) == 0:
-			r.ord = ordGap
-		case front:
-			r.ord = list[0].ord - ordGap
-		default:
-			r.ord = list[len(list)-1].ord + ordGap
-		}
-		if front {
-			c.generic = append([]*Rule{r}, c.generic...)
-		} else {
-			c.generic = append(c.generic, r)
-		}
-		tx.recordDelta(chain, true, r)
 	}
 	if front {
 		c.Rules = append([]*Rule{r}, c.Rules...)
+		c.ords = append([]int64{ord}, c.ords...)
 	} else {
 		c.Rules = append(c.Rules, r)
+		c.ords = append(c.ords, ord)
 	}
+	tx.recordDelta(chain, true, r, ord)
 	return nil
 }
 
@@ -319,13 +271,15 @@ func (tx *Tx) removeMatching(chain string, match func(*Rule) bool, limit int) (i
 	}
 	removed := 0
 	for i := 0; i < len(c.Rules); {
-		r := c.Rules[i]
+		r, ord := c.Rules[i], c.ords[i]
 		if !match(r) {
 			i++
 			continue
 		}
-		c.Rules = append(c.Rules[:i], c.Rules[i+1:]...) // owned chain: in-place is safe
-		tx.unlink(chain, c, r)
+		// Owned chain: in-place removal is safe.
+		c.Rules = append(c.Rules[:i], c.Rules[i+1:]...)
+		c.ords = append(c.ords[:i], c.ords[i+1:]...)
+		tx.recordDelta(chain, false, r, ord)
 		removed++
 		if limit > 0 && removed >= limit {
 			break
@@ -338,45 +292,14 @@ func (tx *Tx) removeMatching(chain string, match func(*Rule) bool, limit int) (i
 	return removed, nil
 }
 
-// unlink removes r from the chain's generic list or the entrypoint index
-// (whichever lane install routed it to) and records the index delta.
-func (tx *Tx) unlink(chain string, c *Chain, r *Rule) {
-	if tx.eptIndexed(chain, r) {
-		k := entryKey{chain, r.Program, r.Entry}
-		for j, x := range tx.rs.eptIndex[k] {
-			if x != r {
-				continue
-			}
-			tx.ownEpt()
-			rules := tx.rs.eptIndex[k]
-			// Fresh slice: the shared one must stay intact for readers of
-			// previous snapshots.
-			out := make([]*Rule, 0, len(rules)-1)
-			out = append(out, rules[:j]...)
-			tx.rs.eptIndex[k] = append(out, rules[j+1:]...)
-			break
-		}
-		return
-	}
-	for j, g := range c.generic {
-		if g == r {
-			c.generic = append(c.generic[:j], c.generic[j+1:]...) // owned chain
-			break
-		}
-	}
-	tx.recordDelta(chain, false, r)
-}
-
 // ReplaceAt swaps the rule at position idx (0-based, over the chain's full
 // rule list) for r, preserving evaluation order: r slots exactly where the
-// old rule was. This is the pftables -R primitive — at 10k rules it patches
-// a handful of dispatch buckets instead of recompiling the index.
+// old rule was, inheriting its order key. This is the pftables -R primitive
+// — at 10k rules it patches a handful of dispatch buckets instead of
+// recompiling the program.
 func (tx *Tx) ReplaceAt(chain string, idx int, r *Rule) error {
-	if r.Target == nil {
-		return fmt.Errorf("pf: rule without target")
-	}
-	if r.EntrySet && r.Program == "" {
-		return fmt.Errorf("pf: entrypoint match requires a program (-p with -i)")
+	if err := checkRule(r); err != nil {
+		return err
 	}
 	c := tx.ownChain(chain)
 	if c == nil {
@@ -385,67 +308,13 @@ func (tx *Tx) ReplaceAt(chain string, idx int, r *Rule) error {
 	if idx < 0 || idx >= len(c.Rules) {
 		return fmt.Errorf("pf: %s: no rule at position %d", chain, idx+1)
 	}
-	old := c.Rules[idx]
+	old, ord := c.Rules[idx], c.ords[idx]
 	c.Rules[idx] = r
-	tx.unlink(chain, c, old)
-
-	rs := tx.rs
-	rs.allNeeds |= r.needs()
-	rs.opsPresent |= opsMaskOf(r)
-	if r.EntrySet {
-		rs.hasEptRules = true
-	}
+	tx.recordDelta(chain, false, old, ord)
+	tx.recordDelta(chain, true, r, ord)
+	tx.widen(r)
 	tx.derived = true // the removal may have narrowed the summaries
-
-	if tx.eptIndexed(chain, r) {
-		tx.ownEpt()
-		rs.eptPrograms[r.Program] = true
-		k := entryKey{chain, r.Program, r.Entry}
-		oldList := rs.eptIndex[k]
-		rules := make([]*Rule, 0, len(oldList)+1)
-		rules = append(rules, oldList...)
-		rs.eptIndex[k] = append(rules, r)
-		return nil
-	}
-
-	// Splice r into the generic lane at the position matching idx. The
-	// generic list preserves the relative order of Rules, so the insertion
-	// point is the count of generic-lane rules before idx.
-	pos := 0
-	for _, rr := range c.Rules[:idx] {
-		if !tx.eptIndexed(chain, rr) {
-			pos++
-		}
-	}
-	ord, ok := tx.ordBetween(c, pos)
-	if !ok {
-		tx.full = true // gap exhausted: renumber via full recompile
-	}
-	r.ord = ord
-	c.generic = append(c.generic, nil)
-	copy(c.generic[pos+1:], c.generic[pos:])
-	c.generic[pos] = r
-	tx.recordDelta(chain, true, r)
 	return nil
-}
-
-// ordBetween picks an order key for a rule entering c.generic at pos.
-// ok=false means the midpoint gap is exhausted and the caller must force a
-// full recompile (which renumbers with fresh gaps).
-func (tx *Tx) ordBetween(c *Chain, pos int) (int64, bool) {
-	g := c.generic
-	switch {
-	case len(g) == 0:
-		return ordGap, true
-	case pos == 0:
-		return g[0].ord - ordGap, true
-	case pos >= len(g):
-		return g[len(g)-1].ord + ordGap, true
-	default:
-		lo, hi := g[pos-1].ord, g[pos].ord
-		mid := lo + (hi-lo)/2
-		return mid, mid != lo
-	}
 }
 
 // Flush removes every rule from every chain (the chains themselves stay).
@@ -453,11 +322,8 @@ func (tx *Tx) Flush() {
 	rs := tx.rs
 	for name := range rs.chains {
 		c := tx.ownChain(name)
-		c.Rules, c.generic = nil, nil
+		c.Rules, c.ords = nil, nil
 	}
-	rs.eptIndex = make(map[entryKey][]*Rule)
-	rs.eptPrograms = make(map[string]bool)
-	tx.eptOwned = true
 	rs.hasEptRules = false
 	rs.allNeeds = 0
 	rs.totalRules = 0
@@ -509,38 +375,25 @@ func (tx *Tx) Chains() []string {
 	return out
 }
 
-// recomputeDerived rebuilds the summaries install() maintains incrementally
-// (allNeeds, hasEptRules, opsPresent, eptPrograms). Installation only ever
+// summarize rebuilds the summaries install() maintains incrementally
+// (allNeeds, hasEptRules, opsPresent, totalRules). Installation only ever
 // widens them; removal must recompute from scratch or deleting the last
 // entrypoint rule would leave mayMatchEpt unwinding stacks — and non-lazy
-// mode over-collecting context — forever. Runs once per transaction, at
+// mode over-collecting context — forever. A transaction runs it once, at
 // commit, however many rules the batch removed.
-func (tx *Tx) recomputeDerived() {
-	rs := tx.rs
-	rs.allNeeds = 0
-	rs.hasEptRules = false
-	rs.opsPresent = 0
-	for _, c := range rs.chains {
+func (p *Program) summarize() {
+	p.allNeeds = 0
+	p.hasEptRules = false
+	p.opsPresent = 0
+	p.totalRules = 0
+	for _, c := range p.chains {
+		p.totalRules += len(c.Rules)
 		for _, r := range c.Rules {
-			rs.allNeeds |= r.needs()
-			rs.opsPresent |= opsMaskOf(r)
+			p.allNeeds |= r.needs()
+			p.opsPresent |= opsMaskOf(r)
 			if r.EntrySet {
-				rs.hasEptRules = true
+				p.hasEptRules = true
 			}
 		}
 	}
-	progs := make(map[string]bool, len(rs.eptPrograms))
-	for k, rules := range rs.eptIndex {
-		if len(rules) == 0 {
-			// Dropping the emptied key is cosmetic; only safe when the map
-			// is transaction-owned (it may be shared with published
-			// snapshots otherwise).
-			if tx.eptOwned {
-				delete(rs.eptIndex, k)
-			}
-			continue
-		}
-		progs[k.program] = true
-	}
-	rs.eptPrograms = progs
 }

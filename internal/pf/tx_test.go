@@ -11,13 +11,15 @@ import (
 
 // --- incremental-vs-full differential -----------------------------------
 //
-// The incremental publish path (patchRuleset) must be observationally
+// The incremental publish path (Program.patch) must be observationally
 // identical to a from-scratch compile AND to linear traversal over
 // arbitrary mutation histories: appends, head inserts, removals,
 // replace-by-position, multi-rule transactions, flushes, and rollbacks.
-// Three engines — linear, full-recompile, incremental — replay one shared
-// mutation/request script; every verdict and every mutation error must
-// agree, or first-match semantics drifted somewhere in the bucket surgery.
+// Three twin engines — decided by the linear oracle (oracle_test.go), by a
+// from-scratch compile on every publish, and incrementally — replay one
+// shared mutation/request script; every verdict and every mutation error
+// must agree, or first-match semantics drifted somewhere in the bucket
+// surgery.
 
 type mutEngine struct {
 	name  string
@@ -74,16 +76,12 @@ func TestIncrementalPublishDifferential(t *testing.T) {
 			return s
 		}
 		for _, base := range baseConfigs {
-			full := base
-			full.RuleIndex = true
-			full.FullRecompile = true
-			incr := base
-			incr.RuleIndex = true
 			engines := []*mutEngine{
 				newMutEngine(t, "linear", pol, base, userChains),
-				newMutEngine(t, "full", pol, full, userChains),
-				newMutEngine(t, "incremental", pol, incr, userChains),
+				newMutEngine(t, "full", pol, base, userChains),
+				newMutEngine(t, "incremental", pol, base, userChains),
 			}
+			engines[1].e.fullRecompile = true
 
 			// installed tracks, per engine, the same logical rule at the
 			// same slot, so pointer-removals target equivalents everywhere.
@@ -136,7 +134,7 @@ func TestIncrementalPublishDifferential(t *testing.T) {
 					sameOutcome(step, "remove", errs)
 
 				case op == 6: // replace-by-position in a built-in chain
-					name := compiledChains[rng.intn(len(compiledChains))]
+					name := builtinChains[rng.intn(len(builtinChains))]
 					c, _ := engines[0].e.Chain(name)
 					if c == nil || len(c.Rules) == 0 {
 						continue
@@ -204,7 +202,12 @@ func TestIncrementalPublishDifferential(t *testing.T) {
 					for ei, m := range engines {
 						p := m.proc(t, pid, subj, ldso)
 						p.ps.BeginSyscall()
-						verdicts[ei] = m.e.Filter(&Request{Proc: p, Op: reqOp, Obj: &fakeRes{sid: objSID, id: objID}})
+						req := &Request{Proc: p, Op: reqOp, Obj: &fakeRes{sid: objSID, id: objID}}
+						if ei == 0 {
+							verdicts[ei] = linearFilter(m.e, req)
+						} else {
+							verdicts[ei] = m.e.Filter(req)
+						}
 					}
 					if verdicts[0] != verdicts[1] || verdicts[0] != verdicts[2] {
 						t.Fatalf("iter %d step %d: verdicts diverge: linear=%v full=%v incremental=%v",
@@ -314,8 +317,9 @@ func TestTransactionSingleRecompile(t *testing.T) {
 }
 
 // TestIncrementalPublishTakesDeltaPath verifies the publish-path selection:
-// small installs and removals patch the previous index; Flush, rollback
-// recovery, and Config.FullRecompile rebuild from scratch.
+// small installs and removals patch the previous program; Flush rebuilds
+// from scratch; a rollback re-exposes a snapshot whose order keys agree
+// with its own program, so the publish after it patches again.
 func TestIncrementalPublishTakesDeltaPath(t *testing.T) {
 	pol := testPolicy()
 	e := New(pol, Optimized())
@@ -342,23 +346,26 @@ func TestIncrementalPublishTakesDeltaPath(t *testing.T) {
 		t.Fatalf("after flush: %+v, want 1 full compile", st)
 	}
 
-	// Rollback forces the next publish to renumber from scratch; the one
-	// after that patches again.
+	// The order keys live in each snapshot's chains, so the restored
+	// snapshot patches like any other.
 	if _, err := e.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Append("input", &Rule{Ops: NewOpSet(OpFileOpen), Target: Drop()}); err != nil {
-		t.Fatal(err)
-	}
 	st := e.PublishStats()
-	if st.FullCompiles != 2 || st.Rollbacks != 1 {
-		t.Fatalf("after rollback+append: %+v, want 2 full / 1 rollback", st)
-	}
 	if err := e.Append("input", &Rule{Ops: NewOpSet(OpFileOpen), Target: Drop()}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.PublishStats().DeltaCompiles; got != st.DeltaCompiles+1 {
-		t.Fatalf("post-rollback steady state did not return to delta compiles: %+v", e.PublishStats())
+	if got := e.PublishStats(); got.FullCompiles != 1 || got.Rollbacks != 1 || got.DeltaCompiles != st.DeltaCompiles+1 {
+		t.Fatalf("after rollback+append: %+v, want 1 full / 1 rollback / one more delta than %+v", got, st)
+	}
+
+	// The test hook rebuilds every publish from scratch.
+	e.fullRecompile = true
+	if err := e.Append("input", &Rule{Ops: NewOpSet(OpFileOpen), Target: Drop()}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.PublishStats().FullCompiles; got != 2 {
+		t.Fatalf("fullRecompile publish: %+v, want 2 full compiles", e.PublishStats())
 	}
 }
 
@@ -414,67 +421,44 @@ func TestRollbackRestoresVerdicts(t *testing.T) {
 	}
 }
 
-// TestOrdGapExhaustion pins the midpoint-collision fallback: when the two
-// neighbors of an interior insertion hold adjacent order keys (no midpoint
-// left), the transaction must transparently renumber via a full recompile
-// and keep first-match order exact. ordBetween's arithmetic is checked
-// directly, then the engine-level recovery end to end.
+// TestOrdGapExhaustion pins that replace-by-position can never exhaust the
+// order-key gap: a replacement inherits the key of the rule it replaces
+// instead of taking a midpoint between its neighbors, so replacing the same
+// interior slot any number of times stays on the delta path and keeps
+// first-match order.
 func TestOrdGapExhaustion(t *testing.T) {
-	// Arithmetic: adjacent neighbors leave no midpoint.
-	c := &Chain{generic: []*Rule{{ord: 4}, {ord: 5}}}
-	tx := &Tx{e: New(testPolicy(), Config{})}
-	if _, ok := tx.ordBetween(c, 1); ok {
-		t.Fatal("ordBetween found a midpoint between adjacent keys 4 and 5")
-	}
-	if ord, ok := tx.ordBetween(c, 0); !ok || ord >= 4 {
-		t.Fatalf("prepend ord = %d, %v; want < 4, ok", ord, ok)
-	}
-	if ord, ok := tx.ordBetween(c, 2); !ok || ord <= 5 {
-		t.Fatalf("append ord = %d, %v; want > 5, ok", ord, ok)
-	}
-
-	// Engine-level recovery: squeeze the published keys to adjacency, then
-	// replace the interior rule — publish must fall back to a full
-	// recompile (renumbering) and the verdict order must hold.
 	pol := testPolicy()
 	e := New(pol, Optimized())
-	httpd := sid(pol, "httpd_t")
-	proc := newFakeProc(1, httpd, "/usr/bin/apache2")
-	rules := []*Rule{
-		{Ops: NewOpSet(OpFileOpen), Target: Accept()},
-		{Ops: NewOpSet(OpFileOpen), Target: Accept()},
-		{Ops: NewOpSet(OpFileOpen), Target: Drop()},
-	}
-	for _, r := range rules {
-		if err := e.Append("input", r); err != nil {
+	proc := newFakeProc(1, sid(pol, "httpd_t"), "/usr/bin/apache2")
+	// lib_t DROP (never matches), the slot under test, tmp_t DROP (matches).
+	for _, obj := range []mac.Label{"lib_t", "lib_t", "tmp_t"} {
+		if err := e.Append("input", &Rule{Ops: NewOpSet(OpFileOpen), Object: NewSIDSet(false, sid(pol, obj)), Target: Drop()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.writeMu.Lock()
-	rules[0].ord = 4
-	rules[1].ord = 4 // stale bucket copies don't matter: no filtering until republish
-	rules[2].ord = 5
-	e.writeMu.Unlock()
-
 	st0 := e.PublishStats()
-	err := e.Transaction(func(tx *Tx) error {
-		return tx.ReplaceAt("input", 1, &Rule{Ops: NewOpSet(OpFileOpen), Target: Accept()})
-	})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 64; i++ {
+		// Alternate the middle rule between an ACCEPT matching the request
+		// and one that does not: the verdict alternates with it only if the
+		// replacement keeps its slot ahead of the trailing DROP.
+		obj := sid(pol, "tmp_t")
+		want := VerdictAccept
+		if i%2 == 1 {
+			obj, want = sid(pol, "etc_t"), VerdictDrop
+		}
+		err := e.Transaction(func(tx *Tx) error {
+			return tx.ReplaceAt("input", 1, &Rule{Ops: NewOpSet(OpFileOpen), Object: NewSIDSet(false, obj), Target: Accept()})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &Request{Proc: proc, Op: OpFileOpen, Obj: &fakeRes{sid: sid(pol, "tmp_t")}}
+		if v := e.Filter(req); v != want {
+			t.Fatalf("replacement %d: verdict = %v, want %v", i, v, want)
+		}
 	}
-	if st := e.PublishStats(); st.FullCompiles != st0.FullCompiles+1 {
-		t.Fatalf("exhausted midpoint did not force a full recompile: %+v", st)
-	}
-	if v := e.Filter(&Request{Proc: proc, Op: OpFileOpen, Obj: &fakeRes{sid: sid(pol, "tmp_t")}}); v != VerdictAccept {
-		t.Fatalf("verdict = %v, want ACCEPT (head rule first)", v)
-	}
-	// And the renumbered base patches incrementally again.
-	if err := e.Remove("input", func(r *Rule) bool { return r == rules[2] }); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.PublishStats(); st.DeltaCompiles == 0 {
-		t.Fatalf("post-renumber publish did not take the delta path: %+v", st)
+	if st := e.PublishStats(); st.FullCompiles != st0.FullCompiles || st.DeltaCompiles != st0.DeltaCompiles+64 {
+		t.Fatalf("interior replacements left the delta path: %+v (before %+v)", st, st0)
 	}
 }
 
@@ -610,4 +594,182 @@ func TestPublishRollbackMediationStress(t *testing.T) {
 	}
 	t.Logf("stress: %d requests, %d publishes (%d delta, %d full, %d rollbacks)",
 		req, st.Publishes, st.DeltaCompiles, st.FullCompiles, st.Rollbacks)
+}
+
+// --- one decision program: regression tests -----------------------------
+
+// TestReplaceAtKeepsEntrypointListOrder pins the replace-by-position drift:
+// a replaced entrypoint rule must keep its list position inside its
+// entrypoint key, ahead of the rules after it. The bucket holds a
+// non-matching DROP, the slot under test (replaced by a matching DROP) and a
+// matching ACCEPT; the program must agree with the linear oracle (DROP).
+func TestReplaceAtKeepsEntrypointListOrder(t *testing.T) {
+	pol := testPolicy()
+	tmp := sid(pol, "tmp_t")
+	build := func() *Engine {
+		e := New(pol, Optimized())
+		// One entrypoint key: a DROP that misses the etc_t request, the slot
+		// under test, and an ACCEPT that matches it.
+		rules := []*Rule{entryRule(pol, Drop()), entryRule(pol, Accept()), entryRule(pol, Accept())}
+		rules[0].Object = NewSIDSet(false, tmp)
+		rules[1].Object = NewSIDSet(false, tmp)
+		rules[2].Object = nil
+		for _, r := range rules {
+			if err := e.Append("input", r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := e.Transaction(func(tx *Tx) error { return tx.ReplaceAt("input", 1, entryRule(pol, Drop())) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e, oracle := build(), build()
+	req := func() *Request {
+		p := newFakeProc(1, sid(pol, "httpd_t"), "/usr/bin/apache2")
+		setupLdSo(t, p)
+		return &Request{Proc: p, Op: OpFileOpen, Obj: &fakeRes{sid: sid(pol, "etc_t")}}
+	}
+	want := linearFilter(oracle, req())
+	if want != VerdictDrop {
+		t.Fatalf("oracle verdict = %v, want DROP (the replaced slot precedes the ACCEPT)", want)
+	}
+	if got := e.Filter(req()); got != want {
+		t.Fatalf("program verdict = %v, oracle = %v", got, want)
+	}
+}
+
+// TestVetoedCompileLeavesNoTrace pins that compiling before the gate leaks
+// nothing into the live snapshot: a vetoed bulk batch (a full compile of
+// the candidate) followed by a one-rule delta must stay verdict-identical to
+// a twin that never saw the vetoed batch.
+func TestVetoedCompileLeavesNoTrace(t *testing.T) {
+	pol := testPolicy()
+	httpd, tmp := sid(pol, "httpd_t"), sid(pol, "tmp_t")
+	base := func(e *Engine) {
+		for i := 0; i < 6; i++ {
+			r := &Rule{Subject: NewSIDSet(false, httpd), Ops: NewOpSet(OpFileOpen), Object: NewSIDSet(false, sid(pol, "lib_t")), Target: Drop()}
+			if i == 3 {
+				r = &Rule{Ops: NewOpSet(OpFileOpen), Object: NewSIDSet(false, tmp), Target: Accept()}
+			}
+			if err := e.Append("input", r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e, twin := New(pol, Optimized()), New(pol, Optimized())
+	base(e)
+	base(twin)
+
+	veto := fmt.Errorf("vetoed")
+	err := e.TransactionGated(func(tx *Tx) error {
+		for i := 0; i < bulkDeltaMax+8; i++ {
+			if err := tx.Insert("input", &Rule{Ops: NewOpSet(OpFileOpen), Target: Drop()}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, func(p *Program) error {
+		if p.RuleCount() != 6+bulkDeltaMax+8 {
+			t.Errorf("gate saw %d rules, want the candidate's %d", p.RuleCount(), 6+bulkDeltaMax+8)
+		}
+		return veto
+	})
+	if err != veto {
+		t.Fatalf("gated transaction: %v, want the veto", err)
+	}
+
+	// One head-inserted DROP on the live snapshot of each: a delta publish.
+	for _, x := range []*Engine{e, twin} {
+		st0 := x.PublishStats()
+		if err := x.Insert("input", &Rule{Subject: NewSIDSet(false, httpd), Ops: NewOpSet(OpFileOpen), Object: NewSIDSet(false, sid(pol, "etc_t")), Target: Drop()}); err != nil {
+			t.Fatal(err)
+		}
+		if st := x.PublishStats(); st.DeltaCompiles != st0.DeltaCompiles+1 {
+			t.Fatalf("one-rule insert did not patch: %+v", st)
+		}
+	}
+	for _, obj := range []mac.Label{"tmp_t", "etc_t", "lib_t", "shadow_t"} {
+		for _, subj := range []mac.Label{"httpd_t", "user_t"} {
+			mk := func() *Request {
+				return &Request{Proc: newFakeProc(1, sid(pol, subj), "/x"), Op: OpFileOpen, Obj: &fakeRes{sid: sid(pol, obj)}}
+			}
+			if got, want := e.Filter(mk()), twin.Filter(mk()); got != want {
+				t.Fatalf("%s on %s: vetoed engine %v, twin %v", subj, obj, got, want)
+			}
+			if got, want := e.Filter(mk()), linearFilter(e, mk()); got != want {
+				t.Fatalf("%s on %s: program %v, oracle %v", subj, obj, got, want)
+			}
+		}
+	}
+}
+
+// TestJumpIntoBuiltinChainRejected pins that a jump target must be a user
+// chain, on install and on replace-by-position.
+func TestJumpIntoBuiltinChainRejected(t *testing.T) {
+	e := New(testPolicy(), Optimized())
+	if err := e.NewChain("u0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Append("u0", &Rule{Target: Drop()}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tgt := range builtinChains {
+		j := &Rule{Target: &JumpTarget{ChainName: tgt}}
+		if err := e.Append("mangle/input", j); err == nil {
+			t.Errorf("append of a jump to %q accepted", tgt)
+		}
+		if err := e.Insert("u0", j); err == nil {
+			t.Errorf("insert of a jump to %q accepted", tgt)
+		}
+		if err := e.Transaction(func(tx *Tx) error { return tx.ReplaceAt("u0", 0, j) }); err == nil {
+			t.Errorf("replace with a jump to %q accepted", tgt)
+		}
+	}
+	if err := e.Append("input", &Rule{Target: &JumpTarget{ChainName: "u0"}}); err != nil {
+		t.Fatalf("jump to a user chain rejected: %v", err)
+	}
+	if got := e.RuleCount(); got != 2 {
+		t.Fatalf("rule count = %d, want 2 (rejected rules must not land)", got)
+	}
+}
+
+// TestEntrypointScanEdges pins the entrypoint scan's control edges: a jump
+// from an entrypoint rule walks its target and resumes the scan with the
+// key's next rule, and RETURN from an entrypoint rule is ignored. The
+// program must agree with the linear oracle on both.
+func TestEntrypointScanEdges(t *testing.T) {
+	pol := testPolicy()
+	build := func(first Target) *Engine {
+		e := New(pol, Optimized())
+		if err := e.NewChain("u0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Append("u0", &Rule{Target: &LogTarget{Prefix: "u0"}}); err != nil {
+			t.Fatal(err)
+		}
+		for _, tg := range []Target{first, Drop()} {
+			if err := e.Append("input", entryRule(pol, tg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	for _, first := range []func() Target{
+		func() Target { return &JumpTarget{ChainName: "u0"} },
+		func() Target { return &ReturnTarget{} },
+	} {
+		e, oracle := build(first()), build(first())
+		req := func() *Request {
+			p := newFakeProc(1, sid(pol, "httpd_t"), "/usr/bin/apache2")
+			setupLdSo(t, p)
+			return &Request{Proc: p, Op: OpFileOpen, Obj: &fakeRes{sid: sid(pol, "etc_t")}}
+		}
+		got, want := e.Filter(req()), linearFilter(oracle, req())
+		if got != VerdictDrop || want != VerdictDrop {
+			t.Fatalf("%s first: program %v, oracle %v; want DROP from the key's second rule",
+				first().TargetName(), got, want)
+		}
+	}
 }

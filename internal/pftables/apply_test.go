@@ -199,10 +199,10 @@ func TestApplyAllGatedVeto(t *testing.T) {
 	gateRan := false
 	_, err := ApplyAllGated(env, engine, "gated.pft", []string{
 		`pftables -A input -s httpd_t -o FILE_OPEN -j ACCEPT`,
-	}, func(chains map[string]*pf.Chain) error {
+	}, func(prog *pf.Program) error {
 		gateRan = true
-		if c := chains["input"]; c == nil || len(c.Rules) != 1 {
-			t.Errorf("gate saw stale chains: %+v", chains)
+		if c := prog.Chains()["input"]; c == nil || len(c.Rules) != 1 {
+			t.Errorf("gate saw stale chains: %+v", prog.Chains())
 		}
 		return &Error{Err: errVeto}
 	})

@@ -375,6 +375,11 @@ func parseLine(env *Env, line string) (cmd *Cmd, errCol int, err error) {
 			if err != nil {
 				return nil, errCol, err
 			}
+			if j, ok := tg.(*pf.JumpTarget); ok && builtinChains[j.ChainName] {
+				// Like iptables: requests enter built-in chains only at
+				// their hooks, so a jump must name a user chain.
+				return nil, toks[i+1].col, fmt.Errorf("pftables: cannot jump to built-in chain %q", name)
+			}
 			cmd.Rule.Target = tg
 			i += 2 + n
 		default:
@@ -929,7 +934,7 @@ func InstallAllFrom(env *Env, engine *pf.Engine, src string, lines []string) (in
 
 // ApplyAllFrom parses every non-empty, non-comment line and applies the
 // whole batch as ONE engine transaction: one publish, one generation bump,
-// one dispatch-index derivation. Unlike InstallAll — which publishes per
+// one program derivation. Unlike InstallAll — which publishes per
 // line and stops mid-file on error — this is all-or-nothing: on any parse
 // or apply error nothing is installed, and the mediation path never
 // observes a partially applied batch. A "-F" line followed by rule lines
@@ -940,10 +945,11 @@ func ApplyAllFrom(env *Env, engine *pf.Engine, src string, lines []string) (int,
 }
 
 // ApplyAllGated is ApplyAllFrom with a pre-publish gate (see
-// pf.Engine.TransactionGated): after the batch is staged, gate inspects the
-// would-be chains; a non-nil error vetoes the publish. The policy daemon
-// runs pfcheck here so a bad delta can never reach the mediation path.
-func ApplyAllGated(env *Env, engine *pf.Engine, src string, lines []string, gate func(chains map[string]*pf.Chain) error) (int, error) {
+// pf.Engine.TransactionGated): after the batch is staged and compiled, gate
+// inspects the candidate program; a non-nil error vetoes the publish. The
+// policy daemon runs pfcheck and pfverify here so a bad delta can never
+// reach the mediation path.
+func ApplyAllGated(env *Env, engine *pf.Engine, src string, lines []string, gate func(*pf.Program) error) (int, error) {
 	cmds := make([]*Cmd, 0, len(lines))
 	for i, line := range lines {
 		line = strings.TrimSpace(line)

@@ -306,6 +306,42 @@ func TestParseErrorColumns(t *testing.T) {
 	}
 }
 
+// TestJumpToBuiltinChainRejected pins that a jump must name a user chain:
+// requests enter built-in chains only at their hooks (as in iptables). The
+// error cites the target token's column, and neither the per-line nor the
+// batched install path lets such a rule reach the engine.
+func TestJumpToBuiltinChainRejected(t *testing.T) {
+	env := testEnv()
+	cases := []struct {
+		line string
+		col  int
+	}{
+		{`pftables -t mangle -A input -j INPUT`, 32},
+		{`pftables -A u0 -j SYSCALLBEGIN`, 19},
+	}
+	for _, tc := range cases {
+		_, err := ParseAt(env, tc.line, pf.Pos{File: "t.pft", Line: 1})
+		perr, ok := err.(*Error)
+		if !ok || !strings.Contains(perr.Error(), "built-in chain") {
+			t.Errorf("ParseAt(%q) = %v, want a built-in chain jump error", tc.line, err)
+			continue
+		}
+		if perr.Pos.Col != tc.col {
+			t.Errorf("ParseAt(%q) col = %d, want %d", tc.line, perr.Pos.Col, tc.col)
+		}
+		engine := pf.New(env.Policy, pf.Optimized())
+		if _, err := InstallAt(env, engine, tc.line, pf.Pos{}); err == nil {
+			t.Errorf("InstallAt(%q) accepted a jump into a built-in chain", tc.line)
+		}
+		if _, err := ApplyAllFrom(env, engine, "t.pft", []string{tc.line}); err == nil {
+			t.Errorf("ApplyAllFrom(%q) accepted a jump into a built-in chain", tc.line)
+		}
+		if engine.RuleCount() != 0 {
+			t.Errorf("%q: rejected rule reached the engine", tc.line)
+		}
+	}
+}
+
 func TestInstallAllSkipsComments(t *testing.T) {
 	env := testEnv()
 	engine := pf.New(env.Policy, pf.Optimized())

@@ -674,14 +674,14 @@ func Refines(cur, cand *Evaluator, tbl *mac.SIDTable, invs []*Invariant) []Regre
 }
 
 // Gate returns a pf.TransactionGated gate that vetoes any publish whose
-// candidate chains weaken an invariant the engine's current generation
+// candidate program weakens an invariant the engine's current generation
 // satisfies. The gate runs pre-publish under the engine's write lock, so
 // FromEngine still observes the current generation while the candidate is
-// the gate's chain snapshot.
-func Gate(e *pf.Engine, tbl *mac.SIDTable, invs []*Invariant) func(map[string]*pf.Chain) error {
-	return func(chains map[string]*pf.Chain) error {
+// the program the gate receives — exactly what would be published.
+func Gate(e *pf.Engine, tbl *mac.SIDTable, invs []*Invariant) func(*pf.Program) error {
+	return func(prog *pf.Program) error {
 		cur := FromEngine(e)
-		cand := NewEvaluator(e.Policy(), chains, e.Config())
+		cand := FromProgram(e.Policy(), prog)
 		regs := Refines(cur, cand, tbl, invs)
 		if len(regs) == 0 {
 			return nil

@@ -6,24 +6,25 @@
 // credential) — and checking declarative invariants against every reachable
 // verdict.
 //
-// The evaluator mirrors the engine's routing exactly (batch.go): the
-// mangle/input chain first, then the start chain (generic lane when
-// entrypoint chains are compiled out), then the entrypoint index scan in
-// stack order, with jumps, RETURN, STATE side effects, and the default
-// allow all reproduced rule for rule. Context a point pins (labels, owners,
-// entry frames) evaluates exactly; context a point leaves open (prior STATE
-// dictionary contents, syscall arguments outside syscallbegin) evaluates
-// three-valued, forking the walk on both branches so proofs stay sound.
+// The evaluator interprets the engine's own compiled decision program
+// (pf.Program) with the engine's routing (batch.go): the mangle/input chain
+// first, then the start chain, then the entrypoint keys in stack order, with
+// jumps, RETURN, STATE side effects, and the default allow all reproduced
+// rule for rule. The candidates it walks come from the same cursors
+// Batch.Filter steps, so the verifier and the hot path cannot disagree on
+// which rules a request reaches or in which order. Context a point pins
+// (labels, owners, entry frames) evaluates exactly; context a point leaves
+// open (prior STATE dictionary contents, syscall arguments outside
+// syscallbegin) evaluates three-valued, forking the walk on both branches
+// so proofs stay sound.
 // A verdict reached along a fork-free path is *definite*: it corresponds to
 // a real request a concrete world can replay (witness.go), which is what
 // keeps reported violations free of false alarms — the differential fuzz
 // test enforces symbolic == concrete on the decidable fragment.
 //
-// Scaling: rules are pruned into (operation, subject-SID) lanes — the same
-// factoring the engine's compiled dispatch index uses (compile.go) — so a
-// sweep over a 10k-rule base only walks the rules that could match each
-// point. The verifier-scale benchmark (internal/lmbench) records the sweep
-// staying tractable at the largest rule base.
+// Scaling: the program's (operation, subject-SID) index hands each point
+// only the rules that could match it, so a sweep over a 10k-rule base stays
+// tractable; the verifier-scale benchmark (internal/lmbench) records it.
 package pfverify
 
 import (
@@ -154,96 +155,45 @@ const maxPaths = 512
 // widens the point instead of diverging.
 const maxJumpDepth = 64
 
-// builtin chains carry the generic/entrypoint lane split under EptChains.
-func builtinChain(name string) bool { return name == "input" || name == "syscallbegin" }
-
-type eptKey struct {
-	chain   string
-	program string
-	off     uint64
-}
-
-type laneKey struct {
-	chain   string
-	generic bool
-	op      pf.Op
-	sid     mac.SID
-}
-
-type eptLaneKey struct {
-	k   eptKey
-	op  pf.Op
-	sid mac.SID
-}
-
-// Evaluator is a symbolic interpreter over one immutable chain snapshot.
-// It is not safe for concurrent use (the pruning-lane cache is unlocked);
-// build one per goroutine — construction is O(rules).
+// Evaluator is a symbolic interpreter over one immutable decision program.
+// It holds no mutable state, so one Evaluator is safe for concurrent use.
 type Evaluator struct {
 	policy *mac.Policy
-	cfg    pf.Config
-	chains map[string]*pf.Chain
-
-	total   int
-	hasEpt  bool
-	generic map[string][]*pf.Rule
-	ept     map[eptKey][]*pf.Rule
-
-	lanes    map[laneKey][]*pf.Rule
-	eptLanes map[eptLaneKey][]*pf.Rule
-
+	prog   *pf.Program
 	resIDs []uint64 // resource identifiers pinned by --res-id rules
 }
 
-// NewEvaluator builds an evaluator over a chain snapshot — the same
-// immutable view a TransactionGated gate receives — under the given engine
-// configuration (EptChains decides rule routing, exactly as in the engine).
-func NewEvaluator(policy *mac.Policy, chains map[string]*pf.Chain, cfg pf.Config) *Evaluator {
-	ev := &Evaluator{
-		policy:   policy,
-		cfg:      cfg,
-		chains:   chains,
-		generic:  make(map[string][]*pf.Rule),
-		ept:      make(map[eptKey][]*pf.Rule),
-		lanes:    make(map[laneKey][]*pf.Rule),
-		eptLanes: make(map[eptLaneKey][]*pf.Rule),
-	}
-	for name, c := range chains {
+// FromProgram builds an evaluator over a compiled program — the live one
+// (FromEngine) or the candidate a TransactionGated gate receives.
+func FromProgram(policy *mac.Policy, prog *pf.Program) *Evaluator {
+	ev := &Evaluator{policy: policy, prog: prog}
+	for _, c := range prog.Chains() {
 		for _, r := range c.Rules {
-			ev.total++
-			if r.EntrySet {
-				ev.hasEpt = true
-			}
 			if r.ResIDSet {
 				ev.resIDs = append(ev.resIDs, r.ResID)
-			}
-			if cfg.EptChains && builtinChain(name) && r.EntrySet {
-				k := eptKey{name, r.Program, r.Entry}
-				ev.ept[k] = append(ev.ept[k], r)
-			} else if builtinChain(name) {
-				ev.generic[name] = append(ev.generic[name], r)
 			}
 		}
 	}
 	return ev
 }
 
-// FromEngine snapshots an engine's current chains into an evaluator.
+// NewEvaluator compiles a chain snapshot under the given engine
+// configuration (EptChains decides rule routing, exactly as in the engine)
+// through pf.Compile, and builds an evaluator over the result.
+func NewEvaluator(policy *mac.Policy, chains map[string]*pf.Chain, cfg pf.Config) *Evaluator {
+	return FromProgram(policy, pf.Compile(chains, cfg))
+}
+
+// FromEngine builds an evaluator over an engine's live program.
 func FromEngine(e *pf.Engine) *Evaluator {
-	chains := make(map[string]*pf.Chain)
-	for _, name := range e.Chains() {
-		if c, ok := e.Chain(name); ok {
-			chains[name] = c
-		}
-	}
-	return NewEvaluator(e.Policy(), chains, e.Config())
+	return FromProgram(e.Policy(), e.Program())
 }
 
 // Policy returns the MAC policy adversary context derives from.
 func (ev *Evaluator) Policy() *mac.Policy { return ev.policy }
 
 // RuleCount returns the snapshot's total rule count.
-func (ev *Evaluator) RuleCount() int { return ev.total }
+func (ev *Evaluator) RuleCount() int { return ev.prog.RuleCount() }
 
 // FreshResID returns a resource identifier no --res-id rule pins, so sweep
 // points model "an arbitrary object" without tripping identifier-specific
@@ -258,63 +208,14 @@ func (ev *Evaluator) FreshResID() uint64 {
 	return max + 1
 }
 
-// PinnedResIDs returns the identifiers --res-id rules name, ascending-ish
-// (install order); sweeps add one point per pin to cover identifier-specific
-// rules.
+// PinnedResIDs returns the identifiers --res-id rules name; sweeps add one
+// point per pin to cover identifier-specific rules.
 func (ev *Evaluator) PinnedResIDs() []uint64 { return ev.resIDs }
 
-// listFor resolves a chain's traversal list, mirroring
-// Chain.traversalRules: the generic lane for built-in chains when
-// entrypoint rules are indexed out, the full rule list otherwise.
-func (ev *Evaluator) listFor(name string, skipEpt bool) []*pf.Rule {
-	if skipEpt && builtinChain(name) {
-		return ev.generic[name]
-	}
-	if c := ev.chains[name]; c != nil {
-		return c.Rules
-	}
-	return nil
-}
-
-// lane returns listFor pruned to rules whose operation mask and subject set
-// can match (op, sid) — the (op, subject-SID) factoring of compile.go.
-// Pruned rules definitely do not match, so the walk is verdict-identical.
-func (ev *Evaluator) lane(name string, skipEpt bool, op pf.Op, sid mac.SID) []*pf.Rule {
-	key := laneKey{name, skipEpt && builtinChain(name), op, sid}
-	if l, ok := ev.lanes[key]; ok {
-		return l
-	}
-	src := ev.listFor(name, skipEpt)
-	lane := make([]*pf.Rule, 0, 8)
-	for _, r := range src {
-		if r.Ops.Has(op) && r.Subject.Contains(sid) {
-			lane = append(lane, r)
-		}
-	}
-	ev.lanes[key] = lane
-	return lane
-}
-
-// eptLane is lane for one entrypoint-index bucket.
-func (ev *Evaluator) eptLane(k eptKey, op pf.Op, sid mac.SID) []*pf.Rule {
-	key := eptLaneKey{k, op, sid}
-	if l, ok := ev.eptLanes[key]; ok {
-		return l
-	}
-	lane := make([]*pf.Rule, 0, 2)
-	for _, r := range ev.ept[k] {
-		if r.Ops.Has(op) && r.Subject.Contains(sid) {
-			lane = append(lane, r)
-		}
-	}
-	ev.eptLanes[key] = lane
-	return lane
-}
-
-// Eval symbolically evaluates one abstract point against the snapshot and
+// Eval symbolically evaluates one abstract point against the program and
 // reports every reachable verdict.
 func (ev *Evaluator) Eval(c *Ctx) Result {
-	if ev.total == 0 {
+	if ev.prog.RuleCount() == 0 {
 		return Result{MayAccept: true, DefiniteAccept: true, Exact: true, Verdict: pf.VerdictAccept, Paths: 1}
 	}
 	ctx := c.normalize()
@@ -326,14 +227,12 @@ func (ev *Evaluator) Eval(c *Ctx) Result {
 		start = "syscallbegin"
 	}
 	startPhase := func(st *absState) {
-		skip := ev.cfg.EptChains
-		w.runList(ev.lane(start, skip, ctx.Op, ctx.Subject), skip, st, func(st *absState) {
-			w.eptScan(start, 0, 0, st)
+		w.walkChain(start, st, func(st *absState) {
+			w.eptScan(start, 0, pf.Cursor{}, st)
 		})
 	}
-	mangle := ev.chains["mangle/input"]
-	if start == "input" && mangle != nil && len(mangle.Rules) > 0 {
-		w.runList(ev.lane("mangle/input", false, ctx.Op, ctx.Subject), false, st, startPhase)
+	if start == "input" {
+		w.walkChain("mangle/input", st, startPhase)
 	} else {
 		startPhase(st)
 	}
@@ -398,11 +297,6 @@ const (
 	triUnknown
 )
 
-type frame struct {
-	rules []*pf.Rule
-	idx   int
-}
-
 // walker explores every path of one point's evaluation.
 type walker struct {
 	ev     *Evaluator
@@ -441,22 +335,23 @@ func (w *walker) budgetLeft() bool { return w.res.Paths < maxPaths && !w.res.Tru
 // fall records the default-allow fall-through of one path.
 func (w *walker) fall(st *absState) { w.record(pf.VerdictAccept, nil, st.exact) }
 
-// runList walks one traversal (jump stack included) beginning at rules,
-// invoking cont for every fall-through path. skipEpt is the traversal-list
-// mode for built-in chains jumped into, mirroring traverseFrom.
-func (w *walker) runList(rules []*pf.Rule, skipEpt bool, st *absState, cont func(*absState)) {
-	w.step([]frame{{rules: rules}}, skipEpt, st, cont)
+// walkChain walks one chain of the program (jump stack included) for the
+// point, invoking cont for every fall-through path. A chain the program
+// lacks falls straight through.
+func (w *walker) walkChain(name string, st *absState, cont func(*absState)) {
+	cur, _ := w.ev.prog.Cursor(name, w.ctx.Op, w.ctx.Subject)
+	w.step([]pf.Cursor{cur}, st, cont)
 }
 
-func cloneStack(stack []frame) []frame {
-	return append([]frame(nil), stack...)
+func cloneStack(stack []pf.Cursor) []pf.Cursor {
+	return append([]pf.Cursor(nil), stack...)
 }
 
-// step is traverseFrom in the abstract: pop exhausted frames, match the
-// next rule, fire its target. Unknown matches fork the walk — the matched
-// branch continues on cloned stack and state, the unmatched branch
-// continues in place — and both branches lose exactness.
-func (w *walker) step(stack []frame, skipEpt bool, st *absState, cont func(*absState)) {
+// step is the engine's dispatch loop in the abstract: pop exhausted
+// cursors, match the next candidate, fire its target. Unknown matches fork
+// the walk — the matched branch continues on cloned stack and state, the
+// unmatched branch continues in place — and both branches lose exactness.
+func (w *walker) step(stack []pf.Cursor, st *absState, cont func(*absState)) {
 	if w.res.Truncated {
 		return
 	}
@@ -465,13 +360,11 @@ func (w *walker) step(stack []frame, skipEpt bool, st *absState, cont func(*absS
 			cont(st)
 			return
 		}
-		top := &stack[len(stack)-1]
-		if top.idx >= len(top.rules) {
+		r := stack[len(stack)-1].NextRule()
+		if r == nil {
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		r := top.rules[top.idx]
-		top.idx++
 
 		m, freshNo := w.matchAbs(r, st)
 		switch m {
@@ -487,8 +380,8 @@ func (w *walker) step(stack []frame, skipEpt bool, st *absState, cont func(*absS
 			stM := st.clone()
 			stM.exact = false
 			stackM := cloneStack(stack)
-			if done := w.applyTarget(r, &stackM, stM, skipEpt); !done {
-				w.step(stackM, skipEpt, stM, cont)
+			if done := w.applyTarget(r, &stackM, stM); !done {
+				w.step(stackM, stM, cont)
 			}
 			// Unmatched branch continues here; it stays definite when a
 			// fresh-state process provably takes it.
@@ -497,7 +390,7 @@ func (w *walker) step(stack []frame, skipEpt bool, st *absState, cont func(*absS
 			}
 			continue
 		case triYes:
-			if done := w.applyTarget(r, &stack, st, skipEpt); done {
+			if done := w.applyTarget(r, &stack, st); done {
 				return
 			}
 		}
@@ -506,7 +399,7 @@ func (w *walker) step(stack []frame, skipEpt bool, st *absState, cont func(*absS
 
 // applyTarget fires r's target against the current traversal. It returns
 // true when the path terminated (final verdict recorded).
-func (w *walker) applyTarget(r *pf.Rule, stack *[]frame, st *absState, skipEpt bool) bool {
+func (w *walker) applyTarget(r *pf.Rule, stack *[]pf.Cursor, st *absState) bool {
 	switch t := r.Target.(type) {
 	case *pf.VerdictTarget:
 		w.record(t.V, r, st.exact)
@@ -516,13 +409,12 @@ func (w *walker) applyTarget(r *pf.Rule, stack *[]frame, st *absState, skipEpt b
 		// (the loop sees an empty stack and falls through).
 		*stack = (*stack)[:len(*stack)-1]
 	case *pf.JumpTarget:
-		if _, ok := w.ev.chains[t.ChainName]; ok {
+		if cur, ok := w.ev.prog.Cursor(t.ChainName, w.ctx.Op, w.ctx.Subject); ok {
 			if len(*stack) >= maxJumpDepth {
 				w.truncate()
 				return true
 			}
-			lane := w.ev.lane(t.ChainName, skipEpt, w.ctx.Op, w.ctx.Subject)
-			*stack = append(*stack, frame{rules: lane})
+			*stack = append(*stack, cur)
 		}
 	case *pf.StateTarget:
 		v := w.resolve(t.Val)
@@ -534,26 +426,23 @@ func (w *walker) applyTarget(r *pf.Rule, stack *[]frame, st *absState, skipEpt b
 	return false
 }
 
-// eptScan mirrors the entrypoint-index scan of Batch.Filter: entries in
-// stack order, each bucket's rules in install order; a jump traverses the
-// target chain with entrypoint rules inline; the first final verdict wins
-// and a fall-through is the default allow.
-func (w *walker) eptScan(start string, ei, ri int, st *absState) {
+// eptScan mirrors the entrypoint-key scan of Batch.Filter: keys in stack
+// order, each key's candidates in list order; a jump walks the target chain
+// and resumes the scan; the first final verdict wins and a fall-through is
+// the default allow. cur resumes the key being scanned; next is the index
+// of the first entry whose key is still unopened. Without EptChains the
+// program has no entrypoint keys and every cursor is empty.
+func (w *walker) eptScan(start string, next int, cur pf.Cursor, st *absState) {
 	if w.res.Truncated {
 		return
 	}
 	c := w.ctx
-	if !w.ev.cfg.EptChains || !w.ev.hasEpt || c.EntryFail {
+	if c.EntryFail {
 		w.fall(st)
 		return
 	}
-	for e := ei; e < len(c.Entries); e++ {
-		ep := c.Entries[e]
-		rules := w.ev.eptLane(eptKey{start, ep.Path, ep.Off}, c.Op, c.Subject)
-		first := ri
-		ri = 0
-		for i := first; i < len(rules); i++ {
-			r := rules[i]
+	for {
+		for r := cur.NextRule(); r != nil; r = cur.NextRule() {
 			m, freshNo := w.matchAbs(r, st)
 			if m == triNo {
 				continue
@@ -566,18 +455,23 @@ func (w *walker) eptScan(start string, ei, ri int, st *absState) {
 				w.forked = true
 				stM := st.clone()
 				stM.exact = false
-				if done := w.eptApply(start, e, i, r, stM); !done {
-					w.eptScan(start, e, i+1, stM)
+				if done := w.eptApply(start, next, cur, r, stM); !done {
+					w.eptScan(start, next, cur, stM)
 				}
 				if !freshNo {
 					st.exact = false
 				}
 				continue
 			}
-			if done := w.eptApply(start, e, i, r, st); done {
+			if done := w.eptApply(start, next, cur, r, st); done {
 				return
 			}
 		}
+		if next >= len(c.Entries) {
+			break
+		}
+		cur = w.ev.prog.EntryCursor(start, c.Entries[next], c.Op, c.Subject)
+		next++
 	}
 	w.fall(st)
 }
@@ -585,17 +479,16 @@ func (w *walker) eptScan(start string, ei, ri int, st *absState) {
 // eptApply fires one entrypoint rule's target during the scan. It returns
 // true when the caller's loop must stop (the path forked into a jump or
 // terminated with a verdict). Resumption after a jump re-enters eptScan at
-// the next rule of the same bucket.
-func (w *walker) eptApply(start string, e, i int, r *pf.Rule, st *absState) bool {
+// (next, cur), the candidate after r.
+func (w *walker) eptApply(start string, next int, cur pf.Cursor, r *pf.Rule, st *absState) bool {
 	switch t := r.Target.(type) {
 	case *pf.VerdictTarget:
 		w.record(t.V, r, st.exact)
 		return true
 	case *pf.JumpTarget:
-		if _, ok := w.ev.chains[t.ChainName]; ok {
-			lane := w.ev.lane(t.ChainName, false, w.ctx.Op, w.ctx.Subject)
-			w.runList(lane, false, st, func(st2 *absState) {
-				w.eptScan(start, e, i+1, st2)
+		if tgt, ok := w.ev.prog.Cursor(t.ChainName, w.ctx.Op, w.ctx.Subject); ok {
+			w.step([]pf.Cursor{tgt}, st, func(st2 *absState) {
+				w.eptScan(start, next, cur, st2)
 			})
 			return true
 		}
@@ -605,8 +498,8 @@ func (w *walker) eptApply(start string, e, i int, r *pf.Rule, st *absState) bool
 			st.set(t.Key, v)
 		}
 	case *pf.ReturnTarget:
-		// RETURN from an indexed entrypoint rule: the scan just continues
-		// (the concrete loop ignores non-final, non-jump actions).
+		// RETURN from an entrypoint rule: the scan just continues (the
+		// concrete loop ignores non-final, non-jump actions).
 	}
 	return false
 }

@@ -305,3 +305,70 @@ func TestMangleRunsFirst(t *testing.T) {
 	proc := newTProc(1, sid(pol, "user_t"), "/bin/sh")
 	agree(t, e, pol, &pf.Request{Proc: proc, Op: pf.OpFileOpen, Obj: &tRes{sid: sid(pol, "tmp_t"), id: 1}}, "mangle-state")
 }
+
+// TestReplaceAtAgreesWithEngine pins the verifier to the engine after a
+// replace-by-position inside an entrypoint key: the replaced rule keeps its
+// list position, and the verifier must prove the verdict Filter returns.
+// The key holds a DROP that misses the request, the slot under test
+// (replaced by a matching DROP) and a matching ACCEPT.
+func TestReplaceAtAgreesWithEngine(t *testing.T) {
+	pol := testPolicy()
+	e := pf.New(pol, pf.Optimized())
+	rule := func(obj *pf.SIDSet, tg pf.Target) *pf.Rule {
+		return &pf.Rule{
+			Program: "/lib/ld.so", Entry: 0x100, EntrySet: true,
+			Ops: pf.NewOpSet(pf.OpFileOpen), Object: obj, Target: tg,
+		}
+	}
+	tmp := pf.NewSIDSet(false, sid(pol, "tmp_t"))
+	for _, r := range []*pf.Rule{rule(tmp, pf.Drop()), rule(tmp, pf.Accept()), rule(nil, pf.Accept())} {
+		if err := e.Append("input", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := e.Transaction(func(tx *pf.Tx) error { return tx.ReplaceAt("input", 1, rule(nil, pf.Drop())) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := newTProc(1, sid(pol, "httpd_t"), "/usr/bin/apache2")
+	proc.at("/lib/ld.so", 0x100)
+	req := &pf.Request{Proc: proc, Op: pf.OpFileOpen, Obj: &tRes{sid: sid(pol, "etc_t"), id: 5}}
+	r := FromEngine(e).Eval(ctxFor(pol, req))
+	if !r.Exact {
+		t.Fatalf("fully pinned point not exact: %+v", r)
+	}
+	if got := e.Filter(req); got != r.Verdict || got != pf.VerdictDrop {
+		t.Fatalf("engine %v, verifier %v; want both DROP (the replaced slot precedes the ACCEPT)", got, r.Verdict)
+	}
+}
+
+// TestEntrypointScanEdges pins the verifier to the engine on the
+// entrypoint scan's control edges: a jump from an entrypoint rule walks its
+// target and resumes the scan; RETURN from an entrypoint rule is ignored.
+func TestEntrypointScanEdges(t *testing.T) {
+	pol := testPolicy()
+	for _, first := range []pf.Target{&pf.JumpTarget{ChainName: "uc"}, &pf.ReturnTarget{}} {
+		e := pf.New(pol, pf.Optimized())
+		if err := e.NewChain("uc"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Append("uc", &pf.Rule{Target: &pf.LogTarget{Prefix: "uc"}}); err != nil {
+			t.Fatal(err)
+		}
+		for _, tg := range []pf.Target{first, pf.Drop()} {
+			if err := e.Append("input", &pf.Rule{
+				Program: "/lib/ld.so", Entry: 0x100, EntrySet: true,
+				Ops: pf.NewOpSet(pf.OpFileOpen), Target: tg,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		proc := newTProc(1, sid(pol, "httpd_t"), "/usr/bin/apache2")
+		proc.at("/lib/ld.so", 0x100)
+		req := &pf.Request{Proc: proc, Op: pf.OpFileOpen, Obj: &tRes{sid: sid(pol, "etc_t"), id: 5}}
+		agree(t, e, pol, req, first.TargetName())
+		if got := e.Filter(req); got != pf.VerdictDrop {
+			t.Fatalf("%s first: engine %v, want DROP from the key's second rule", first.TargetName(), got)
+		}
+	}
+}

@@ -267,11 +267,11 @@ func (s *Server) apply(req *Request) Response {
 		src = "policyd"
 	}
 	var vetoes []string
-	gate := func(chains map[string]*pf.Chain) error {
+	gate := func(prog *pf.Program) error {
 		if req.NoCheck {
 			return nil
 		}
-		rep := pfcheck.AnalyzeRuleset(s.engine.Policy().SIDs(), chains, s.sym)
+		rep := pfcheck.AnalyzeRuleset(s.engine.Policy().SIDs(), prog.Chains(), s.sym)
 		for _, f := range rep.Findings {
 			if f.Sev == pfcheck.SevError && f.Pos.File == src {
 				vetoes = append(vetoes, f.String())
@@ -282,12 +282,12 @@ func (s *Server) apply(req *Request) Response {
 		}
 		// Refinement gate: the candidate must not weaken any invariant the
 		// live generation satisfies. Runs under the engine's write lock, so
-		// FromEngine still observes the pre-publish generation while chains
-		// is the candidate.
+		// FromEngine still observes the pre-publish generation while prog is
+		// the candidate program — exactly what the publish would expose.
 		if len(s.invs) > 0 {
 			tbl := s.engine.Policy().SIDs()
 			cur := pfverify.FromEngine(s.engine)
-			cand := pfverify.NewEvaluator(s.engine.Policy(), chains, s.engine.Config())
+			cand := pfverify.FromProgram(s.engine.Policy(), prog)
 			for _, reg := range pfverify.Refines(cur, cand, tbl, s.invs) {
 				msg := fmt.Sprintf("pfverify: batch weakens invariant %s", reg.Invariant)
 				if len(reg.Violations) > 0 {
