@@ -1,5 +1,6 @@
 # Developer / CI entry points. `make ci` is the tier-1 gate plus the
-# race-enabled test suite; `make lint` is the source gate (vet, gofmt, the
+# race-enabled test suite, the perfbench module's vet and short tests, and
+# a short run of each native fuzz target (`make fuzz-smoke`); `make lint` is the source gate (vet, gofmt, the
 # pflint hot-path lock-discipline linter, and the pflint -alloc escape-
 # analysis gate that keeps the Filter closure free of unaudited heap
 # escapes); `make check` is the ruleset gate (the pfcheck static analyzer
@@ -35,7 +36,7 @@
 
 GO ?= go
 
-.PHONY: all vet gofmt-check pflint pflint-alloc lint build test test-race ci perfbench-check check verify analyze bench-smoke bench-hotpath bench-ipc bench-obs bench-rulescale bench-rulescale-smoke bench-alloc bench-alloc-smoke bench-trace bench-trace-smoke bench-worldscale bench-worldscale-smoke bench-policy bench-policy-smoke bench-verify bench-verify-smoke
+.PHONY: all vet gofmt-check pflint pflint-alloc lint build test test-race ci perfbench-check fuzz-smoke check verify analyze bench-smoke bench-hotpath bench-ipc bench-obs bench-rulescale bench-rulescale-smoke bench-alloc bench-alloc-smoke bench-trace bench-trace-smoke bench-worldscale bench-worldscale-smoke bench-policy bench-policy-smoke bench-verify bench-verify-smoke
 
 all: lint ci check verify
 
@@ -62,13 +63,18 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-ci: vet build test-race perfbench-check
+ci: vet build test-race perfbench-check fuzz-smoke
 
 # The benchmark is a nested module (perfbench/go.mod), so `go build ./...`
 # at the root never compiles it; build, vet and short-test it here so an
 # API change that breaks the benchmark fails CI instead of the next run.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Native fuzz targets over untrusted input, a short run each on top of the
+# checked-in seed corpora (testdata/fuzz) that `go test` always replays.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseInvariants$$' -fuzztime 10s ./internal/pfverify
 
 # Ruleset gate: the pfcheck static analyzer must pass (no error-severity
 # findings) on every shipped example ruleset, the paper's Table 5 base, and

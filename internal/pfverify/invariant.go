@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pfirewall/internal/mac"
 	"pfirewall/internal/pf"
@@ -77,7 +78,11 @@ const (
 	optNo
 )
 
-func (o opt) keep(v bool) bool { return o == optUnset || (o == optYes) == v }
+// keep reports whether the (subject, object) pair passes the directive. An
+// unset directive keeps every pair without consulting pred.
+func (o opt) keep(pred func(subject, object mac.SID) bool, subject, object mac.SID) bool {
+	return o == optUnset || (o == optYes) == pred(subject, object)
+}
 
 // scope selects labels: all, the trusted set, its complement, or globs
 // (negated as a whole with a leading "!" on each pattern).
@@ -468,22 +473,7 @@ func Check(ev *Evaluator, tbl *mac.SIDTable, invs []*Invariant) *Report {
 
 func checkOne(ev *Evaluator, tbl *mac.SIDTable, inv *Invariant, labels []mac.Label) InvariantResult {
 	res := InvariantResult{Invariant: inv, Holds: true, Definitely: true}
-	pol := ev.Policy()
-
-	var subjects []mac.Label
-	for _, l := range labels {
-		if inv.Subject.match(pol, tbl, l) {
-			subjects = append(subjects, l)
-		}
-	}
-	var objects []mac.Label
-	if !inv.ObjectNone {
-		for _, l := range labels {
-			if inv.Object.match(pol, tbl, l) {
-				objects = append(objects, l)
-			}
-		}
-	}
+	pairs := scopePairs(ev.Policy(), tbl, inv, labels)
 
 	entries := inv.Entries
 	sweepEntries := make([][]pf.Entrypoint, 0, len(entries)+1)
@@ -508,7 +498,7 @@ func checkOne(ev *Evaluator, tbl *mac.SIDTable, inv *Invariant, labels []mac.Lab
 		ownerCases = []opt{optNo}
 	}
 
-	eval := func(c *Ctx, subj, obj mac.Label) {
+	eval := func(c *Ctx, p pair) {
 		res.Points++
 		r := ev.Eval(c)
 		var bad, definite bool
@@ -535,47 +525,71 @@ func checkOne(ev *Evaluator, tbl *mac.SIDTable, inv *Invariant, labels []mac.Lab
 				Definite:  definite,
 				Rule:      rule,
 				Ctx:       *c,
-				Subject:   subj,
-				Object:    obj,
+				Subject:   tbl.Label(p.subject),
+				Object:    tbl.Label(p.object),
 			})
 		}
 	}
 
-	sweepObj := objects
-	if inv.ObjectNone {
-		sweepObj = []mac.Label{""}
-	}
+	// One point, refilled per coordinate: Eval and stored violations copy it.
+	var c Ctx
 	for _, op := range inv.Ops {
-		for _, subj := range subjects {
-			ssid := tbl.SID(subj)
-			for _, obj := range sweepObj {
-				if !inv.ObjectNone {
-					osid := tbl.SID(obj)
-					if !inv.AdvWrite.keep(pol.AdversaryWritable(ssid, osid)) {
-						continue
-					}
-					if !inv.AdvRead.keep(pol.AdversaryReadable(ssid, osid)) {
-						continue
-					}
-					if inv.CrossPrefix > 0 && !crossPrefix(subj, obj, inv.CrossPrefix) {
-						continue
-					}
-				}
-				for _, eps := range sweepEntries {
-					for oi, oc := range ownerCases {
-						for idx, oid := range objIDs {
-							if idx > 0 && oi > 0 {
-								break // pinned ids only need one owner case
-							}
-							c := pointCtx(inv, op, ssid, subj, obj, tbl, eps, oc, oid)
-							eval(c, subj, obj)
+		for _, p := range pairs {
+			for _, eps := range sweepEntries {
+				for oi, oc := range ownerCases {
+					for idx, oid := range objIDs {
+						if idx > 0 && oi > 0 {
+							break // pinned ids only need one owner case
 						}
+						pointCtx(&c, inv, op, p, eps, oc, oid)
+						eval(&c, p)
 					}
 				}
 			}
 		}
 	}
 	return res
+}
+
+// pair is one (subject, object) coordinate an invariant's scope keeps;
+// object is the invalid SID 0 when the invariant sweeps points with no
+// object.
+type pair struct{ subject, object mac.SID }
+
+// scopePairs lists the (subject, object) pairs inv's scope keeps,
+// subject-major in label order. It is built once per invariant, outside
+// the op loop, and consults an adversary predicate only for a directive
+// the invariant sets.
+func scopePairs(pol *mac.Policy, tbl *mac.SIDTable, inv *Invariant, labels []mac.Label) []pair {
+	var subjects, objects []mac.Label
+	for _, l := range labels {
+		if inv.Subject.match(pol, tbl, l) {
+			subjects = append(subjects, l)
+		}
+		if !inv.ObjectNone && inv.Object.match(pol, tbl, l) {
+			objects = append(objects, l)
+		}
+	}
+	var pairs []pair
+	for _, subj := range subjects {
+		ssid := tbl.SID(subj)
+		if inv.ObjectNone {
+			pairs = append(pairs, pair{subject: ssid})
+			continue
+		}
+		for _, obj := range objects {
+			osid := tbl.SID(obj)
+			if inv.CrossPrefix > 0 && !crossPrefix(subj, obj, inv.CrossPrefix) {
+				continue
+			}
+			if !inv.AdvWrite.keep(pol.AdversaryWritable, ssid, osid) ||
+				!inv.AdvRead.keep(pol.AdversaryReadable, ssid, osid) {
+				continue
+			}
+			pairs = append(pairs, pair{subject: ssid, object: osid})
+		}
+	}
+	return pairs
 }
 
 // crossPrefix reports whether two labels differ within their first n bytes
@@ -588,14 +602,18 @@ func crossPrefix(a, b mac.Label, n int) bool {
 	return as[:n] != bs[:n]
 }
 
-// pointCtx builds the abstract point for one sweep coordinate. Process
-// history (STATE) and the in-flight syscall are left open so proofs cover
-// processes with arbitrary pasts; everything else is pinned, which is what
-// makes violations replayable.
-func pointCtx(inv *Invariant, op pf.Op, ssid mac.SID, subj, obj mac.Label, tbl *mac.SIDTable, eps []pf.Entrypoint, oc opt, oid uint64) *Ctx {
-	c := &Ctx{
+// sweepSignal is the signal every signal-delivery point carries: a
+// catchable SIGTERM. Points share it; nothing writes it.
+var sweepSignal = pf.SignalInfo{Signal: 15, HasHandler: true}
+
+// pointCtx fills c with the abstract point for one sweep coordinate.
+// Process history (STATE) and the in-flight syscall are left open so
+// proofs cover processes with arbitrary pasts; everything else is pinned,
+// which is what makes violations replayable.
+func pointCtx(c *Ctx, inv *Invariant, op pf.Op, p pair, eps []pf.Entrypoint, oc opt, oid uint64) {
+	*c = Ctx{
 		Op:                 op,
-		Subject:            ssid,
+		Subject:            p.subject,
 		Program:            inv.Program,
 		Entries:            eps,
 		StateUnknown:       true,
@@ -607,7 +625,7 @@ func pointCtx(inv *Invariant, op pf.Op, ssid mac.SID, subj, obj mac.Label, tbl *
 	}
 	if !inv.ObjectNone {
 		c.HasObject = true
-		c.Object = tbl.SID(obj)
+		c.Object = p.object
 		c.ObjID = Known(oid)
 		c.Owner = KnownInt(0)
 		switch oc {
@@ -619,7 +637,7 @@ func pointCtx(inv *Invariant, op pf.Op, ssid mac.SID, subj, obj mac.Label, tbl *
 		}
 	}
 	if op == pf.OpSignalDeliver {
-		c.Sig = &pf.SignalInfo{Signal: 15, HasHandler: true}
+		c.Sig = &sweepSignal
 	}
 	if inv.SockNS != "" {
 		c.NSOK, c.NS = true, inv.SockNS
@@ -633,7 +651,6 @@ func pointCtx(inv *Invariant, op pf.Op, ssid mac.SID, subj, obj mac.Label, tbl *
 		c.PeerUID = KnownInt(inv.PeerUID)
 		c.PeerPID = Known(4242)
 	}
-	return c
 }
 
 // --- refinement ----------------------------------------------------------
@@ -651,15 +668,26 @@ type Regression struct {
 // candidate. Invariants the current snapshot already violates don't gate —
 // a publish can't regress what was never guaranteed.
 func Refines(cur, cand *Evaluator, tbl *mac.SIDTable, invs []*Invariant) []Regression {
-	curRep := Check(cur, tbl, invs)
-	candRep := Check(cand, tbl, invs)
+	return regressions(holds(Check(cur, tbl, invs)), Check(cand, tbl, invs))
+}
+
+// holds lists each invariant's Holds, in report order.
+func holds(rep *Report) []bool {
+	out := make([]bool, len(rep.Results))
+	for i := range rep.Results {
+		out[i] = rep.Results[i].Holds
+	}
+	return out
+}
+
+// regressions reports the invariants the current program holds (curHolds,
+// in invariant order) that the candidate's report shows definitely
+// violated, each with the candidate's definite witnesses.
+func regressions(curHolds []bool, cand *Report) []Regression {
 	var regs []Regression
-	for i := range curRep.Results {
-		if !curRep.Results[i].Holds {
-			continue
-		}
-		cr := &candRep.Results[i]
-		if cr.Holds {
+	for i := range cand.Results {
+		cr := &cand.Results[i]
+		if !curHolds[i] || cr.Holds {
 			continue
 		}
 		var wits []Violation
@@ -673,27 +701,86 @@ func Refines(cur, cand *Evaluator, tbl *mac.SIDTable, invs []*Invariant) []Regre
 	return regs
 }
 
-// Gate returns a pf.TransactionGated gate that vetoes any publish whose
-// candidate program weakens an invariant the engine's current generation
-// satisfies. The gate runs pre-publish under the engine's write lock, so
-// FromEngine still observes the current generation while the candidate is
-// the program the gate receives — exactly what would be published.
-func Gate(e *pf.Engine, tbl *mac.SIDTable, invs []*Invariant) func(*pf.Program) error {
-	return func(prog *pf.Program) error {
-		cur := FromEngine(e)
-		cand := FromProgram(e.Policy(), prog)
-		regs := Refines(cur, cand, tbl, invs)
-		if len(regs) == 0 {
-			return nil
+// RefinementError is the gate's veto: the candidate program weakens every
+// invariant in Regressions.
+type RefinementError struct {
+	Regressions []Regression
+}
+
+func (e *RefinementError) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "pfverify: publish weakens %d invariant(s):", len(e.Regressions))
+	for _, reg := range e.Regressions {
+		fmt.Fprintf(&b, " %s", reg.Invariant)
+		if len(reg.Violations) > 0 {
+			fmt.Fprintf(&b, " [%s]", reg.Violations[0].String())
 		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "pfverify: publish weakens %d invariant(s):", len(regs))
-		for _, reg := range regs {
-			fmt.Fprintf(&b, " %s", reg.Invariant)
-			if len(reg.Violations) > 0 {
-				fmt.Fprintf(&b, " [%s]", reg.Violations[0].String())
-			}
-		}
-		return fmt.Errorf("%s", b.String())
 	}
+	return b.String()
+}
+
+// Gate returns a pf.TransactionGated gate that vetoes, with a
+// *RefinementError, any publish whose candidate program weakens an
+// invariant the engine's current generation satisfies. The gate runs
+// pre-publish under the engine's write lock, so the engine still exposes
+// the current generation while the candidate is the program the gate
+// receives — exactly what would be published.
+//
+// The gate remembers the per-invariant verdicts of the last program it
+// proved, so in steady churn it sweeps only the candidate: the program it
+// accepted is the one the transaction publishes, and the next call finds
+// it live. Every other change to the live program, the MAC policy or the
+// label universe misses the memo and re-proves from scratch (proofKey).
+// Each call to Gate starts with an empty memo; invs must not change while
+// the gate is in use.
+func Gate(e *pf.Engine, tbl *mac.SIDTable, invs []*Invariant) func(*pf.Program) error {
+	return (&gate{e: e, tbl: tbl, invs: invs}).check
+}
+
+// proofKey names what a proof of the invariants depends on. The key is
+// sound because programs are immutable once compiled (and the memo holds
+// the pointer, so it is never reused), every MAC edit (Allow, MarkTrusted)
+// bumps AdvEpoch, the SID table only grows, and the pinned resource
+// identifiers derive from the program. A rollback, an ungated publish, a
+// MAC edit or a new label therefore changes the key.
+type proofKey struct {
+	prog   *pf.Program
+	epoch  uint64 // Policy.AdvEpoch
+	labels int    // SIDTable.Len
+}
+
+// gate is the refinement gate with the last proved program's verdicts.
+type gate struct {
+	e    *pf.Engine
+	tbl  *mac.SIDTable
+	invs []*Invariant
+
+	mu     sync.Mutex
+	key    proofKey // the proof holds describes
+	holds  []bool   // per-invariant Holds under key
+	sweeps int      // programs swept (read by tests)
+}
+
+// check proves cand against the live program's remembered verdicts.
+func (g *gate) check(cand *pf.Program) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	pol := g.e.Policy()
+	// Read the key before any sweep: an edit racing the sweep leaves a
+	// stale key behind, which the next call misses.
+	live := proofKey{prog: g.e.Program(), epoch: pol.AdvEpoch(), labels: g.tbl.Len()}
+	if live != g.key {
+		g.holds, g.key = holds(g.sweep(live.prog)), live
+	}
+	rep := g.sweep(cand)
+	if regs := regressions(g.holds, rep); len(regs) > 0 {
+		return &RefinementError{Regressions: regs}
+	}
+	g.holds, g.key.prog = holds(rep), cand
+	return nil
+}
+
+func (g *gate) sweep(prog *pf.Program) *Report {
+	g.sweeps++
+	return Check(FromProgram(g.e.Policy(), prog), g.tbl, g.invs)
 }

@@ -2,9 +2,11 @@ package pfverify
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pfirewall/internal/mac"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/pftables"
 	"pfirewall/internal/programs"
@@ -84,6 +86,27 @@ invariant minimal {
 			t.Errorf("ParseInvariants accepted %q", bad)
 		}
 	}
+}
+
+// FuzzParseInvariants: the .inv parser never panics, and every invariant
+// it accepts sweeps at least one op and requires ACCEPT or DROP. The seed
+// corpus (testdata/fuzz) holds the shipped .inv files and the worldgen
+// invariants.
+func FuzzParseInvariants(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		invs, err := ParseInvariants("fuzz.inv", src)
+		if err != nil {
+			return
+		}
+		for _, inv := range invs {
+			if len(inv.Ops) == 0 {
+				t.Fatalf("invariant %q accepted with no op", inv.Name)
+			}
+			if inv.Require != pf.VerdictAccept && inv.Require != pf.VerdictDrop {
+				t.Fatalf("invariant %q accepted with require %v", inv.Name, inv.Require)
+			}
+		}
+	})
 }
 
 func TestMatchGlob(t *testing.T) {
@@ -440,5 +463,113 @@ func TestRequireAcceptInvariant(t *testing.T) {
 	v := firstDefinite(t, rep, "tmp-writable")
 	if v.Got != pf.VerdictDrop || v.Rule != drop {
 		t.Errorf("violation should cite the drop rule, got %+v", v)
+	}
+}
+
+// --- adversary scope directives -------------------------------------------
+
+// TestAdvScopeDirectives sweeps adv-write and adv-read set to yes, no and
+// unset over a policy in which some (subject, object) pairs are adversary-
+// writable or -readable and others are not, and compares each sweep's
+// points and violations with a brute-force enumeration that asks the MAC
+// predicates directly.
+func TestAdvScopeDirectives(t *testing.T) {
+	pol := mac.NewPolicy(mac.NewSIDTable())
+	pol.MarkTrusted("httpd_t")
+	pol.Allow("httpd_t", "www_t", mac.ClassFile, mac.PermRead)
+	pol.Allow("user_t", "tmp_t", mac.ClassFile, mac.PermWrite|mac.PermRead)
+	pol.Allow("user_t", "etc_t", mac.ClassFile, mac.PermRead)
+	pol.Allow("guest_t", "log_t", mac.ClassFile, mac.PermAppend)
+	tbl := pol.SIDs()
+
+	// Label order, as the sweep enumerates it.
+	subjects := []mac.Label{"guest_t", "httpd_t", "user_t"}
+	objects := []mac.Label{"etc_t", "log_t", "tmp_t", "www_t"}
+	ops := []pf.Op{pf.OpFileOpen, pf.OpFileWrite}
+
+	// Two guards, so violations are a strict subset of the scope.
+	e := pf.New(pol, pf.Optimized())
+	guarded := map[[2]mac.Label]bool{{"httpd_t", "tmp_t"}: true, {"guest_t", "etc_t"}: true}
+	for k := range guarded {
+		if err := e.Append("input", &pf.Rule{
+			Subject: pf.NewSIDSet(false, tbl.SID(k[0])),
+			Object:  pf.NewSIDSet(false, tbl.SID(k[1])),
+			Ops:     pf.NewOpSet(ops...),
+			Target:  pf.Drop(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ev := FromEngine(e)
+
+	keep := func(set string, adv bool) bool { return set == "" || (set == "yes") == adv }
+	seen := map[bool]map[bool]bool{true: {}, false: {}}
+	for _, w := range []string{"yes", "no", ""} {
+		for _, r := range []string{"yes", "no", ""} {
+			src := "invariant adv {\n require DROP\n op FILE_OPEN FILE_WRITE\n subject guest_t httpd_t user_t\n object etc_t log_t tmp_t www_t\n"
+			if w != "" {
+				src += " adv-write " + w + "\n"
+			}
+			if r != "" {
+				src += " adv-read " + r + "\n"
+			}
+			invs, err := ParseInvariants("adv.inv", src+"}\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			type point struct {
+				op        pf.Op
+				subj, obj mac.Label
+			}
+			var points, viols []point
+			for _, op := range ops {
+				for _, s := range subjects {
+					for _, o := range objects {
+						aw := pol.AdversaryWritable(tbl.SID(s), tbl.SID(o))
+						ar := pol.AdversaryReadable(tbl.SID(s), tbl.SID(o))
+						seen[aw][ar] = true
+						if !keep(w, aw) || !keep(r, ar) {
+							continue
+						}
+						points = append(points, point{op, s, o})
+						if !guarded[[2]mac.Label{s, o}] {
+							viols = append(viols, point{op, s, o})
+						}
+					}
+				}
+			}
+
+			res := Check(ev, tbl, invs).Results[0]
+			name := "adv-write=" + w + " adv-read=" + r
+			if res.Points != len(points) {
+				t.Errorf("%s: %d points, brute force %d", name, res.Points, len(points))
+			}
+			if res.ViolationCount != len(viols) || res.Holds != (len(viols) == 0) {
+				t.Errorf("%s: %d violations (holds=%v), brute force %d", name, res.ViolationCount, res.Holds, len(viols))
+			}
+			if len(viols) > maxStoredViolations {
+				viols = viols[:maxStoredViolations]
+			}
+			var got []point
+			for _, v := range res.Violations {
+				if !v.Definite || v.Got != pf.VerdictAccept || v.Ctx.Subject != tbl.SID(v.Subject) || v.Ctx.Object != tbl.SID(v.Object) {
+					t.Errorf("%s: malformed violation %v", name, v.String())
+				}
+				got = append(got, point{v.Ctx.Op, v.Subject, v.Object})
+			}
+			if !reflect.DeepEqual(got, viols) {
+				t.Errorf("%s: violations %v, brute force %v", name, got, viols)
+			}
+		}
+	}
+	// The policy must exercise every combination of the two predicates, or
+	// the directives are not really tested.
+	for _, aw := range []bool{true, false} {
+		for _, ar := range []bool{true, false} {
+			if !seen[aw][ar] {
+				t.Errorf("policy has no pair with writable=%v readable=%v", aw, ar)
+			}
+		}
 	}
 }

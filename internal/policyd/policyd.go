@@ -1,7 +1,8 @@
 // Package policyd is the live policy control plane: a daemon that owns an
 // engine's rule base and applies streamed updates — add/remove/replace
 // batches, full reloads, rollbacks — as single hitless transactions, each
-// gated through the pfcheck analyzer before its publish commits.
+// gated through the pfcheck analyzer (and, with invariants armed, the
+// pfverify refinement gate) before its publish commits.
 //
 // The protocol is JSON lines over the simulated kernel's own abstract-
 // namespace sockets (dogfooding internal/ipc the way internal/trace
@@ -46,6 +47,12 @@ const policyLabel = "pfpolicyd_t"
 // read polls.
 const serverPoll = 500 * time.Microsecond
 
+// maxRequestLine caps one request line in bytes. A client whose line grows
+// past it without a newline gets an error response and loses the
+// connection. A large worldgen reload is about 261 KB and a 10k-rule base
+// about 868 KB, so the cap leaves room for any real batch.
+const maxRequestLine = 4 << 20
+
 // Request is one control-plane operation, a single JSON line.
 type Request struct {
 	// Op selects the operation: "apply", "rollback", "version", "ping".
@@ -89,10 +96,10 @@ type Server struct {
 	proc   *kernel.Proc
 	lfd    int
 
-	// invs, when set, arms the pfverify refinement gate: a batch that
+	// verify, when set, is the pfverify refinement gate: a batch that
 	// weakens an invariant the live generation satisfies is vetoed before
 	// its publish commits. verifyVetoes counts those rejections.
-	invs         []*pfverify.Invariant
+	verify       func(*pf.Program) error
 	verifyVetoes atomic.Uint64
 
 	stop chan struct{}
@@ -103,8 +110,15 @@ type Server struct {
 // must refine the live ruleset with respect to invs — an invariant the
 // current generation satisfies must still hold under the candidate, or the
 // batch is vetoed pre-publish with the regression witnesses as findings.
-// Call before the first client applies; the slice is not copied.
-func (s *Server) SetInvariants(invs []*pfverify.Invariant) { s.invs = invs }
+// Call before the first client applies; the slice is not copied. Each call
+// builds a fresh pfverify.Gate, so a new invariant set never reuses the
+// previous set's proof.
+func (s *Server) SetInvariants(invs []*pfverify.Invariant) {
+	s.verify = nil
+	if len(invs) > 0 {
+		s.verify = pfverify.Gate(s.engine, s.engine.Policy().SIDs(), invs)
+	}
+}
 
 // VerifyVetoes reports how many applies the refinement gate rejected.
 func (s *Server) VerifyVetoes() uint64 { return s.verifyVetoes.Load() }
@@ -196,10 +210,11 @@ func (s *Server) loop() {
 	}
 }
 
-// drain reads whatever c has buffered and answers each complete line.
-// Returns ok=false when the connection is gone.
+// drain reads whatever c has buffered, up to one byte past the line cap,
+// and answers each complete line. Returns ok=false when the connection is
+// gone or must be closed.
 func (s *Server) drain(c *conn) (ok, progressed bool) {
-	data, err := s.proc.Recv(c.fd, 0)
+	data, err := s.proc.Recv(c.fd, maxRequestLine+1-len(c.buf))
 	if len(data) > 0 {
 		c.buf = append(c.buf, data...)
 		progressed = true
@@ -210,20 +225,29 @@ func (s *Server) drain(c *conn) (ok, progressed bool) {
 	for {
 		i := bytes.IndexByte(c.buf, '\n')
 		if i < 0 {
+			if len(c.buf) > maxRequestLine {
+				s.reply(c, s.status(false, fmt.Sprintf("policyd: request line exceeds %d bytes", maxRequestLine)))
+				return false, progressed
+			}
 			return true, progressed
 		}
 		line := c.buf[:i]
 		c.buf = c.buf[i+1:]
-		resp := s.handle(line)
-		out, merr := json.Marshal(resp)
-		if merr != nil {
-			out = []byte(`{"ok":false,"err":"policyd: response marshal failed"}`)
-		}
-		out = append(out, '\n')
-		if _, err := s.proc.Send(c.fd, out); err != nil && !kernel.IsWouldBlock(err) {
+		if !s.reply(c, s.handle(line)) {
 			return false, progressed
 		}
 	}
+}
+
+// reply sends one response line; false means the connection is gone.
+func (s *Server) reply(c *conn, resp Response) bool {
+	out, err := json.Marshal(resp)
+	if err != nil {
+		out = []byte(`{"ok":false,"err":"policyd: response marshal failed"}`)
+	}
+	out = append(out, '\n')
+	_, err = s.proc.Send(c.fd, out)
+	return err == nil || kernel.IsWouldBlock(err)
 }
 
 // handle executes one request line.
@@ -280,27 +304,24 @@ func (s *Server) apply(req *Request) Response {
 		if len(vetoes) > 0 {
 			return errVetoed
 		}
-		// Refinement gate: the candidate must not weaken any invariant the
-		// live generation satisfies. Runs under the engine's write lock, so
-		// FromEngine still observes the pre-publish generation while prog is
-		// the candidate program — exactly what the publish would expose.
-		if len(s.invs) > 0 {
-			tbl := s.engine.Policy().SIDs()
-			cur := pfverify.FromEngine(s.engine)
-			cand := pfverify.FromProgram(s.engine.Policy(), prog)
-			for _, reg := range pfverify.Refines(cur, cand, tbl, s.invs) {
-				msg := fmt.Sprintf("pfverify: batch weakens invariant %s", reg.Invariant)
-				if len(reg.Violations) > 0 {
-					msg += ": " + reg.Violations[0].String()
-				}
-				vetoes = append(vetoes, msg)
-			}
-			if len(vetoes) > 0 {
-				s.verifyVetoes.Add(1)
-				return errVetoed
-			}
+		if s.verify == nil {
+			return nil
 		}
-		return nil
+		// Refinement gate: the candidate must not weaken any invariant the
+		// live generation satisfies.
+		var ref *pfverify.RefinementError
+		if err := s.verify(prog); !errors.As(err, &ref) {
+			return err
+		}
+		for _, reg := range ref.Regressions {
+			msg := fmt.Sprintf("pfverify: batch weakens invariant %s", reg.Invariant)
+			if len(reg.Violations) > 0 {
+				msg += ": " + reg.Violations[0].String()
+			}
+			vetoes = append(vetoes, msg)
+		}
+		s.verifyVetoes.Add(1)
+		return errVetoed
 	}
 	st0 := s.engine.PublishStats()
 	t0 := time.Now()

@@ -1,6 +1,8 @@
 package policyd
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -363,5 +365,45 @@ func TestInvariantGateVetoesWeakeningBatch(t *testing.T) {
 	}, 0)
 	if err != nil || !resp.OK {
 		t.Fatalf("harmless apply: %v %s %v", err, resp.Err, resp.Findings)
+	}
+}
+
+// TestOversizedRequestLine: a client that streams more than the line cap
+// without a newline gets an error response and loses its connection,
+// while other clients keep being served.
+func TestOversizedRequestLine(t *testing.T) {
+	w := policyWorld(t)
+	_, good := serveWorld(t, w)
+	bad, err := Dial(w.K, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if _, err := bad.proc.Send(bad.fd, bytes.Repeat([]byte{'a'}, maxRequestLine+1)); err != nil {
+		t.Fatal(err)
+	}
+	// Read until the server hangs up: the error line, then a closed peer.
+	var got []byte
+	deadline := time.Now().Add(DefaultTimeout)
+	for {
+		data, err := bad.proc.Recv(bad.fd, 0)
+		got = append(got, data...)
+		if err != nil && !kernel.IsWouldBlock(err) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server kept the connection open; read %q", got)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	var resp Response
+	if err := json.Unmarshal(bytes.TrimSuffix(got, []byte{'\n'}), &resp); err != nil {
+		t.Fatalf("no response line before the hang-up: %q (%v)", got, err)
+	}
+	if resp.OK || !strings.Contains(resp.Err, "exceeds") {
+		t.Fatalf("oversized line answered %+v", resp)
+	}
+	if resp, err := good.Do(Request{Op: "ping"}, 0); err != nil || !resp.OK {
+		t.Fatalf("second client's ping: %v %+v", err, resp)
 	}
 }
