@@ -75,6 +75,7 @@ perfbench-check:
 # checked-in seed corpora (testdata/fuzz) that `go test` always replays.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInvariants$$' -fuzztime 10s ./internal/pfverify
+	$(GO) test -run '^$$' -fuzz '^FuzzPolicydLine$$' -fuzztime 10s ./internal/policyd
 
 # Ruleset gate: the pfcheck static analyzer must pass (no error-severity
 # findings) on every shipped example ruleset, the paper's Table 5 base, and

@@ -373,12 +373,6 @@ func runTraced(out io.Writer, w *programs.World, gw *worldgen.World, instances i
 		return err
 	}
 	defer cl.Close()
-	// Give the relay a moment to admit the client: spans published before
-	// the connection is accepted are not replayed to it.
-	for i := 0; i < 100 && w.K.Tracer().Subscribers() == 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
 
 	done := make(chan struct{})
 	go func() {

@@ -16,11 +16,13 @@
 // immutable snapshots behind atomic pointers, so the lookup path (every
 // connect) takes no lock; binds copy-on-write under a writer mutex. Listener
 // backlogs and stream buffers are fine-grained: one mutex per listener, one
-// per connected pair.
+// per connected pair. Nothing blocks: a waiter registers a channel (Notify),
+// signalled while the endpoint is ready (even after an Accept or Recv).
 package ipc
 
 import (
 	"errors"
+	"maps"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -50,8 +52,8 @@ var (
 	// ErrRefused: no live listener is accepting at the address, or its
 	// backlog is full (ECONNREFUSED).
 	ErrRefused = errors.New("connection refused")
-	// ErrWouldBlock: the non-blocking operation has nothing to deliver
-	// (EAGAIN/EWOULDBLOCK).
+	// ErrWouldBlock: the non-blocking operation cannot proceed yet: nothing
+	// to deliver, or no room to queue (EAGAIN/EWOULDBLOCK).
 	ErrWouldBlock = errors.New("operation would block")
 	// ErrPeerClosed: the other endpoint is gone and the stream is drained
 	// (EPIPE on send, EOF on receive).
@@ -133,6 +135,7 @@ type Listener struct {
 	maxQueue  int
 	queue     []*Conn
 	closed    bool
+	wake      chan<- struct{} // signalled while connections are queued
 }
 
 // Meta returns the listener's identity.
@@ -156,18 +159,21 @@ func (l *Listener) Listen(backlog int) error {
 	return nil
 }
 
-// Listening reports whether Listen has been called on an open listener.
-func (l *Listener) Listening() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.listening && !l.closed
-}
-
 // Closed reports whether the listener has been closed.
 func (l *Listener) Closed() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.closed
+}
+
+// Notify registers ch to be signalled while connections are queued.
+func (l *Listener) Notify(ch chan<- struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.wake = ch
+	if len(l.queue) > 0 {
+		signal(ch)
+	}
 }
 
 // Accept pops the oldest pending connection. It never blocks: an empty
@@ -186,6 +192,9 @@ func (l *Listener) Accept() (*Conn, error) {
 	}
 	c := l.queue[0]
 	l.queue = l.queue[1:]
+	if len(l.queue) > 0 {
+		signal(l.wake)
+	}
 	return c, nil
 }
 
@@ -220,18 +229,40 @@ func (l *Listener) connect(client Cred) (*Conn, error) {
 	}
 	server, clientEnd := newPair(l.meta, l.owner, client, l.stats)
 	l.queue = append(l.queue, server)
+	signal(l.wake)
 	if l.stats != nil {
 		l.stats.Connects.Add(client.PID, 1)
 	}
 	return clientEnd, nil
 }
 
+// StreamMax bounds one direction's unread bytes, above the line service's
+// 4 MiB line cap: a slow reader costs its writer whole messages, not memory.
+const StreamMax = 8 << 20
+
+// signal wakes a waiter without blocking; an unconsumed signal absorbs
+// this one, and a nil channel is never ready.
+func signal(ch chan<- struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
 // pairState is the shared half of a connected pair: one mutex guards both
 // directions, which keeps send/recv single-lock and deadlock-free.
 type pairState struct {
 	mu     sync.Mutex
-	buf    [2][]byte // buf[i] holds bytes waiting to be read by endpoint i
+	buf    [2][]byte          // buf[i] holds bytes waiting to be read by endpoint i
+	wake   [2]chan<- struct{} // wake[i] is signalled while endpoint i is readable
 	closed [2]bool
+}
+
+// rearm signals endpoint end's waiter while it has bytes or a closed peer.
+func (ps *pairState) rearm(end int) {
+	if len(ps.buf[end]) > 0 || ps.closed[1-end] {
+		signal(ps.wake[end])
+	}
 }
 
 // Conn is one endpoint of a connected stream.
@@ -255,15 +286,23 @@ func newPair(meta Meta, server, client Cred, stats *Stats) (*Conn, *Conn) {
 // Meta returns the identity of the rendezvous this stream came from.
 func (c *Conn) Meta() Meta { return c.meta }
 
-// LocalCred returns this endpoint's credential.
-func (c *Conn) LocalCred() Cred { return c.local }
-
 // PeerCred returns the other endpoint's credential — SO_PEERCRED, as
 // captured when the pair was created.
 func (c *Conn) PeerCred() Cred { return c.remote }
 
+// Notify registers ch to be signalled while this endpoint has bytes to
+// read or a closed peer.
+func (c *Conn) Notify(ch chan<- struct{}) {
+	ps := c.pair
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.wake[c.end] = ch
+	ps.rearm(c.end)
+}
+
 // Send queues data for the peer. It never blocks; sending on a closed
-// endpoint or to a closed peer fails.
+// endpoint or to a closed peer fails, and data that would take the peer's
+// unread bytes past StreamMax is not queued at all (ErrWouldBlock).
 func (c *Conn) Send(data []byte) (int, error) {
 	ps := c.pair
 	ps.mu.Lock()
@@ -274,7 +313,11 @@ func (c *Conn) Send(data []byte) (int, error) {
 	if ps.closed[1-c.end] {
 		return 0, ErrPeerClosed
 	}
+	if len(ps.buf[1-c.end])+len(data) > StreamMax {
+		return 0, ErrWouldBlock
+	}
 	ps.buf[1-c.end] = append(ps.buf[1-c.end], data...)
+	ps.rearm(1 - c.end)
 	if c.stats != nil {
 		c.stats.StreamBytes.Add(c.local.PID, uint64(len(data)))
 	}
@@ -305,21 +348,16 @@ func (c *Conn) Recv(n int) ([]byte, error) {
 	out := make([]byte, n)
 	copy(out, buf[:n])
 	ps.buf[c.end] = buf[n:]
+	ps.rearm(c.end)
 	return out, nil
 }
 
-// Closed reports whether this endpoint has been closed.
-func (c *Conn) Closed() bool {
-	c.pair.mu.Lock()
-	defer c.pair.mu.Unlock()
-	return c.pair.closed[c.end]
-}
-
-// Close shuts this endpoint down. The peer keeps any buffered bytes.
+// Close shuts this endpoint down; the peer keeps its buffered bytes.
 func (c *Conn) Close() {
 	c.pair.mu.Lock()
 	c.pair.closed[c.end] = true
 	c.pair.buf[c.end] = nil
+	c.pair.rearm(1 - c.end)
 	c.pair.mu.Unlock()
 }
 
@@ -406,6 +444,14 @@ func NewRegistry() *Registry {
 	return r
 }
 
+// store publishes a copy of the table at p with k set to v; the caller
+// holds r.mu.
+func store[K comparable, V any](p *atomic.Pointer[map[K]V], k K, v V) {
+	next := maps.Clone(*p.Load())
+	next[k] = v
+	p.Store(&next)
+}
+
 // newListener allocates a listener with a fresh, never-recycled id.
 func (r *Registry) newListener(ns NS, key string, port uint16, sid mac.SID, owner Cred) *Listener {
 	m := Meta{NS: ns, Key: key, Port: port, ID: r.nextID.Add(1), SID: sid}
@@ -433,13 +479,7 @@ func (r *Registry) BindFile(path string, sid mac.SID, owner Cred) *Listener {
 	r.Stats.BindsFile.Add(owner.PID, 1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := *r.files.Load()
-	next := make(map[uint64]*Listener, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[l.meta.ID] = l
-	r.files.Store(&next)
+	store(&r.files, l.meta.ID, l)
 	return l
 }
 
@@ -455,18 +495,12 @@ func (r *Registry) FileListener(id uint64) (*Listener, bool) {
 func (r *Registry) BindAbstract(name string, sid mac.SID, owner Cred) (*Listener, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := *r.abstract.Load()
-	if prev, ok := old[name]; ok && !prev.Closed() {
+	if prev, ok := (*r.abstract.Load())[name]; ok && !prev.Closed() {
 		return nil, ErrAddrInUse
 	}
 	l := r.newListener(NSAbstract, name, 0, sid, owner)
 	r.Stats.BindsAbstract.Add(owner.PID, 1)
-	next := make(map[string]*Listener, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = l
-	r.abstract.Store(&next)
+	store(&r.abstract, name, l)
 	return l, nil
 }
 
@@ -483,18 +517,12 @@ func (r *Registry) LookupAbstract(name string) (*Listener, bool) {
 func (r *Registry) BindPort(port uint16, sid mac.SID, owner Cred) (*Listener, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := *r.ports.Load()
-	if prev, ok := old[port]; ok && !prev.Closed() {
+	if prev, ok := (*r.ports.Load())[port]; ok && !prev.Closed() {
 		return nil, ErrAddrInUse
 	}
 	l := r.newListener(NSPort, "", port, sid, owner)
 	r.Stats.BindsPort.Add(owner.PID, 1)
-	next := make(map[uint16]*Listener, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[port] = l
-	r.ports.Store(&next)
+	store(&r.ports, port, l)
 	return l, nil
 }
 
@@ -517,13 +545,7 @@ func (r *Registry) NewFifo() uint64 {
 	q := &Queue{id: id, stats: &r.Stats}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := *r.fifos.Load()
-	next := make(map[uint64]*Queue, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[id] = q
-	r.fifos.Store(&next)
+	store(&r.fifos, id, q)
 	return id
 }
 

@@ -273,3 +273,99 @@ func TestConcurrentConnectAndBind(t *testing.T) {
 		t.Errorf("accepted %d connections, want 800", accepted)
 	}
 }
+
+// pair connects a fresh client to a fresh listener and returns both ends.
+func pair(t *testing.T, r *Registry, name string) (server, client *Conn) {
+	t.Helper()
+	l, err := r.BindAbstract(name, 1, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Listen(1)
+	if client, err = r.Connect(l, user); err != nil {
+		t.Fatal(err)
+	}
+	if server, err = l.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	return server, client
+}
+
+// TestStreamCapKeepsMessagesWhole: a Send that would take the peer's
+// unread bytes past StreamMax queues nothing and reports ErrWouldBlock, so
+// only whole messages are ever queued; once the peer drains, sends succeed
+// again.
+func TestStreamCapKeepsMessagesWhole(t *testing.T) {
+	s, c := pair(t, reg(), "cap")
+	if _, err := c.Send(make([]byte, StreamMax-10)); err != nil {
+		t.Fatalf("send up to the cap: %v", err)
+	}
+	if n, err := c.Send(make([]byte, 20)); n != 0 || !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("send past the cap = %d, %v; want 0, ErrWouldBlock", n, err)
+	}
+	if _, err := c.Send(make([]byte, 10)); err != nil {
+		t.Fatalf("send that exactly fills the cap: %v", err)
+	}
+	if _, err := c.Send([]byte{1}); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("send into a full stream: %v, want ErrWouldBlock", err)
+	}
+	got, err := s.Recv(0)
+	if err != nil || len(got) != StreamMax {
+		t.Fatalf("peer read %d bytes (%v), want exactly %d", len(got), err, StreamMax)
+	}
+	if _, err := c.Send(make([]byte, StreamMax)); err != nil {
+		t.Fatalf("send after the peer drained: %v", err)
+	}
+}
+
+// expectSignals checks that ch holds exactly want pending signals (0 or 1:
+// signals coalesce).
+func expectSignals(t *testing.T, ch chan struct{}, want int, what string) {
+	t.Helper()
+	got := 0
+	for {
+		select {
+		case <-ch:
+			got++
+			continue
+		default:
+		}
+		break
+	}
+	if got != want {
+		t.Fatalf("%s: %d signals, want %d", what, got, want)
+	}
+}
+
+// TestNotifyLevelTriggered: a registered channel is signalled while a
+// listener has queued connections or a stream endpoint has bytes or a
+// closed peer, including after an Accept or Recv that leaves it ready, and
+// never otherwise.
+func TestNotifyLevelTriggered(t *testing.T) {
+	r := reg()
+	l, _ := r.BindAbstract("wake", 1, root)
+	l.Listen(4)
+	lw := make(chan struct{}, 1)
+	l.Notify(lw)
+	expectSignals(t, lw, 0, "idle listener")
+	c1, _ := r.Connect(l, user)
+	r.Connect(l, user)
+	expectSignals(t, lw, 1, "two queued connections")
+	s1, _ := l.Accept()
+	expectSignals(t, lw, 1, "accept leaving one queued")
+	l.Accept()
+	expectSignals(t, lw, 0, "accept emptying the backlog")
+
+	sw := make(chan struct{}, 1)
+	c1.Send([]byte("ab"))
+	s1.Notify(sw)
+	expectSignals(t, sw, 1, "registering with bytes pending")
+	s1.Recv(1)
+	expectSignals(t, sw, 1, "partial read")
+	s1.Recv(1)
+	expectSignals(t, sw, 0, "draining read")
+	s1.Send([]byte("to the client"))
+	expectSignals(t, sw, 0, "own send")
+	c1.Close()
+	expectSignals(t, sw, 1, "peer close")
+}

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"errors"
-	"fmt"
 
 	"pfirewall/internal/ipc"
 	"pfirewall/internal/mac"
@@ -99,17 +98,7 @@ func (p *Proc) BindAbstract(name string) (int, error) {
 		return -1, err
 	}
 	defer p.exitSyscall()
-	l, err := p.k.IPC.BindAbstract(name, p.sid, p.cred())
-	if err != nil {
-		return -1, err
-	}
-	if err := p.pfFilter(pf.OpSocketBind, pfObj{lis: l}, NrBind); err != nil {
-		l.Close()
-		return -1, err
-	}
-	fd := p.installFd(nil, "@"+name)
-	p.fds[fd].Lis = l
-	return fd, nil
+	return p.bound(p.k.IPC.BindAbstract(name, p.sid, p.cred()))
 }
 
 // BindPort binds a TCP-like port. Closing the listener vacates the port
@@ -120,7 +109,12 @@ func (p *Proc) BindPort(port uint16) (int, error) {
 		return -1, err
 	}
 	defer p.exitSyscall()
-	l, err := p.k.IPC.BindPort(port, p.sid, p.cred())
+	return p.bound(p.k.IPC.BindPort(port, p.sid, p.cred()))
+}
+
+// bound mediates a fresh namespace bind and installs the listener under
+// its display name; a DROP releases the name again.
+func (p *Proc) bound(l *ipc.Listener, err error) (int, error) {
 	if err != nil {
 		return -1, err
 	}
@@ -128,7 +122,7 @@ func (p *Proc) BindPort(port uint16) (int, error) {
 		l.Close()
 		return -1, err
 	}
-	fd := p.installFd(nil, fmt.Sprintf(":%d", port))
+	fd := p.installFd(nil, l.Meta().Display)
 	p.fds[fd].Lis = l
 	return fd, nil
 }
@@ -181,6 +175,24 @@ func (p *Proc) Accept(fd int) (int, error) {
 	return nfd, nil
 }
 
+// Notify registers ch to be signalled while the socket behind fd is ready
+// (a connection queued, bytes buffered or the peer closed); signals
+// coalesce, so capacity 1 suffices. It is not mediated: it reveals nothing
+// that Accept or Recv would not.
+func (p *Proc) Notify(fd int, ch chan<- struct{}) error {
+	f, err := p.getFd(fd)
+	switch {
+	case err != nil:
+	case f.Conn != nil:
+		f.Conn.Notify(ch)
+	case f.Lis != nil:
+		f.Lis.Notify(ch)
+	default:
+		err = vfs.ErrInval
+	}
+	return err
+}
+
 // connectListener mediates and establishes a connection to l, returning
 // the client end. res carries the identity the PF should see (for
 // filesystem sockets, the socket inode's).
@@ -197,19 +209,7 @@ func (p *Proc) ConnectAbstract(name string) (int, error) {
 		return -1, err
 	}
 	defer p.exitSyscall()
-	l, ok := p.k.IPC.LookupAbstract(name)
-	if !ok {
-		return -1, ErrConnRefused
-	}
-	ms := p.curMed
-	ms.ipcRes.fromLis(l)
-	conn, err := p.connectListener(l, &ms.ipcRes)
-	if err != nil {
-		return -1, err
-	}
-	fd := p.installFd(nil, "@"+name)
-	p.fds[fd].Conn = conn
-	return fd, nil
+	return p.connectNamed(p.k.IPC.LookupAbstract(name))
 }
 
 // ConnectPort connects to a port-namespace socket.
@@ -218,7 +218,13 @@ func (p *Proc) ConnectPort(port uint16) (int, error) {
 		return -1, err
 	}
 	defer p.exitSyscall()
-	l, ok := p.k.IPC.LookupPort(port)
+	return p.connectNamed(p.k.IPC.LookupPort(port))
+}
+
+// connectNamed mediates and connects to a namespace lookup's listener
+// (ok=false: nothing bound there) and installs the client end under the
+// rendezvous's display name.
+func (p *Proc) connectNamed(l *ipc.Listener, ok bool) (int, error) {
 	if !ok {
 		return -1, ErrConnRefused
 	}
@@ -228,7 +234,7 @@ func (p *Proc) ConnectPort(port uint16) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	fd := p.installFd(nil, fmt.Sprintf(":%d", port))
+	fd := p.installFd(nil, l.Meta().Display)
 	p.fds[fd].Conn = conn
 	return fd, nil
 }

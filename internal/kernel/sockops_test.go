@@ -385,3 +385,40 @@ func TestSocketFdMisuse(t *testing.T) {
 		t.Errorf("close listener: %v", err)
 	}
 }
+
+// TestNotifyIsNotASyscall: registering readiness on a socket descriptor
+// issues no syscall and is signalled by the peer's send; a descriptor that
+// is not a socket is refused.
+func TestNotifyIsNotASyscall(t *testing.T) {
+	k := newWorld(t)
+	srv := newRoot(k, "dbusd_t", "/bin/dbus-daemon")
+	lfd, _ := srv.BindAbstract("notify")
+	srv.Listen(lfd, 4)
+	wake := make(chan struct{}, 1)
+	n0 := k.SyscallCount.Load()
+	if err := srv.Notify(lfd, wake); err != nil {
+		t.Fatal(err)
+	}
+	if n := k.SyscallCount.Load() - n0; n != 0 {
+		t.Fatalf("Notify issued %d syscalls", n)
+	}
+	client := newRoot(k, "httpd_t", "/usr/bin/apache2")
+	if _, err := client.ConnectAbstract("notify"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-wake:
+	default:
+		t.Fatal("queued connection did not signal the listener's channel")
+	}
+	fd, err := srv.Open("/etc/passwd", O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Notify(fd, wake); !errors.Is(err, vfs.ErrInval) {
+		t.Errorf("notify on a file: %v, want ErrInval", err)
+	}
+	if err := srv.Notify(999, wake); !errors.Is(err, ErrBadFd) {
+		t.Errorf("notify on a closed fd: %v, want ErrBadFd", err)
+	}
+}

@@ -1,16 +1,15 @@
 package policyd
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"time"
 
 	"pfirewall/internal/kernel"
+	"pfirewall/internal/linesvc"
 )
 
 // ErrTimeout is returned by Client.Do when no response arrived in time.
-var ErrTimeout = errors.New("policyd: response read timed out")
+var ErrTimeout = linesvc.ErrTimeout
 
 // DefaultTimeout bounds one round trip when the caller passes zero.
 const DefaultTimeout = 5 * time.Second
@@ -19,25 +18,20 @@ const DefaultTimeout = 5 * time.Second
 // simulation. A Client owns one simulated process; all calls must come
 // from one goroutine at a time (the kernel's single-flow invariant).
 type Client struct {
-	proc *kernel.Proc
-	fd   int
-	buf  []byte
+	conn *linesvc.Client
 }
 
-// Dial connects a fresh (muted) process to the named control socket.
+// Dial connects a fresh (muted) process to the named control socket and
+// returns once the server has admitted it.
 func Dial(k *kernel.Kernel, name string) (*Client, error) {
 	if name == "" {
 		name = DefaultSocketName
 	}
-	proc := k.NewProc(kernel.ProcSpec{UID: 0, Label: policyLabel})
-	if t := k.Tracer(); t != nil {
-		t.Mute(proc.PID())
-	}
-	fd, err := proc.ConnectAbstract(name)
+	conn, err := linesvc.Dial(k, name, policyLabel)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{proc: proc, fd: fd}, nil
+	return &Client{conn: conn}, nil
 }
 
 // Do sends one request and waits for its response (requests on one
@@ -46,38 +40,19 @@ func (c *Client) Do(req Request, timeout time.Duration) (Response, error) {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	line, err := json.Marshal(req)
+	line, _ := json.Marshal(req) // a Request always marshals
+	if _, err := c.conn.Proc.Send(c.conn.Fd, append(line, '\n')); err != nil {
+		return Response{}, err
+	}
+	line, err := c.conn.ReadLine(timeout)
 	if err != nil {
 		return Response{}, err
 	}
-	line = append(line, '\n')
-	if _, err := c.proc.Send(c.fd, line); err != nil {
+	var resp Response
+	if err := json.Unmarshal(line, &resp); err != nil {
 		return Response{}, err
 	}
-	deadline := time.Now().Add(timeout)
-	for {
-		if i := bytes.IndexByte(c.buf, '\n'); i >= 0 {
-			raw := c.buf[:i]
-			c.buf = c.buf[i+1:]
-			var resp Response
-			if err := json.Unmarshal(raw, &resp); err != nil {
-				return Response{}, err
-			}
-			return resp, nil
-		}
-		data, err := c.proc.Recv(c.fd, 0)
-		if len(data) > 0 {
-			c.buf = append(c.buf, data...)
-			continue
-		}
-		if err != nil && !kernel.IsWouldBlock(err) {
-			return Response{}, err
-		}
-		if time.Now().After(deadline) {
-			return Response{}, ErrTimeout
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	return resp, nil
 }
 
 // Apply streams one pftables batch to be applied as a single gated
@@ -98,9 +73,7 @@ func (c *Client) Version(timeout time.Duration) (Response, error) {
 }
 
 // Close tears down the client's end of the connection.
-func (c *Client) Close() {
-	_ = c.proc.Close(c.fd)
-}
+func (c *Client) Close() { c.conn.Close() }
 
 // PublishResult is one target's outcome of a fan-out publish.
 type PublishResult struct {

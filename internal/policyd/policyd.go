@@ -11,16 +11,10 @@
 // mediation path never observes a half-applied batch — readers keep
 // filtering against the previous ruleset generation until the atomic
 // pointer store, and a vetoed or failed batch publishes nothing at all.
-//
-// Concurrency: the server owns exactly one simulated process and issues
-// all of its syscalls from the event-loop goroutine; clients each own a
-// fresh process driven by the caller's goroutine. Both endpoints are muted
-// on the tracer (when one is attached) so the control plane's own
-// Send/Recv traffic does not pollute provenance streams.
+// The transport is the shared, readiness-driven internal/linesvc.
 package policyd
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,6 +22,7 @@ import (
 	"time"
 
 	"pfirewall/internal/kernel"
+	"pfirewall/internal/linesvc"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/pfcheck"
 	"pfirewall/internal/pftables"
@@ -42,16 +37,6 @@ const DefaultSocketName = "pfpolicy"
 // processes. It appears in no shipped ruleset, so persona-targeted rules
 // can never match the transport.
 const policyLabel = "pfpolicyd_t"
-
-// serverPoll bounds how long an idle server loop sleeps between accept and
-// read polls.
-const serverPoll = 500 * time.Microsecond
-
-// maxRequestLine caps one request line in bytes. A client whose line grows
-// past it without a newline gets an error response and loses the
-// connection. A large worldgen reload is about 261 KB and a 10k-rule base
-// about 868 KB, so the cap leaves room for any real batch.
-const maxRequestLine = 4 << 20
 
 // Request is one control-plane operation, a single JSON line.
 type Request struct {
@@ -89,21 +74,16 @@ var errVetoed = errors.New("policyd: batch vetoed by pfcheck gate")
 
 // Server owns an engine's rule base and serves the control protocol.
 type Server struct {
-	k      *kernel.Kernel
 	env    *pftables.Env
 	engine *pf.Engine
 	sym    *pfcheck.Symbols
-	proc   *kernel.Proc
-	lfd    int
+	svc    *linesvc.Server
 
 	// verify, when set, is the pfverify refinement gate: a batch that
 	// weakens an invariant the live generation satisfies is vetoed before
 	// its publish commits. verifyVetoes counts those rejections.
 	verify       func(*pf.Program) error
 	verifyVetoes atomic.Uint64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // SetInvariants arms the symbolic refinement gate: every subsequent apply
@@ -126,134 +106,38 @@ func (s *Server) VerifyVetoes() uint64 { return s.verifyVetoes.Load() }
 // Serve binds an abstract socket named name (DefaultSocketName when empty)
 // inside k's world and starts the control loop for engine. sym configures
 // the pfcheck gate's symbol validation; nil skips symbol findings but
-// keeps the reachability analysis.
+// keeps the reachability analysis. A request line longer than
+// linesvc.MaxLine gets an error response and loses its connection.
 func Serve(k *kernel.Kernel, env *pftables.Env, engine *pf.Engine, name string, sym *pfcheck.Symbols) (*Server, error) {
 	if name == "" {
 		name = DefaultSocketName
 	}
-	proc := k.NewProc(kernel.ProcSpec{UID: 0, Label: policyLabel})
-	if t := k.Tracer(); t != nil {
-		t.Mute(proc.PID())
-	}
-	lfd, err := proc.BindAbstract(name)
-	if err != nil {
+	s := &Server{env: env, engine: engine, sym: sym}
+	var err error
+	if s.svc, err = linesvc.Serve[struct{}](k, name, policyLabel, s.answer, nil, nil); err != nil {
 		return nil, err
 	}
-	if err := proc.Listen(lfd, 16); err != nil {
-		return nil, err
-	}
-	s := &Server{
-		k: k, env: env, engine: engine, sym: sym, proc: proc, lfd: lfd,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go s.loop()
 	return s, nil
 }
 
 // Close stops the control loop and waits for it to unwind.
-func (s *Server) Close() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	<-s.done
+func (s *Server) Close() { s.svc.Close() }
+
+// answer is the line service's handler: one Response line per request
+// line. (A Response always marshals.)
+func (s *Server) answer(line []byte, err error) []byte {
+	out, _ := json.Marshal(s.handle(line, err))
+	return out
 }
 
-// conn is one client connection's server-side state.
-type conn struct {
-	fd  int
-	buf []byte
-}
-
-// loop is the server's single flow: admit pending connections, drain each
-// client's stream, answer every complete request line in order.
-func (s *Server) loop() {
-	defer close(s.done)
-	var conns []*conn
-	defer func() {
-		for _, c := range conns {
-			_ = s.proc.Close(c.fd)
-		}
-		_ = s.proc.Close(s.lfd)
-	}()
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		busy := false
-		for {
-			fd, err := s.proc.Accept(s.lfd)
-			if err != nil {
-				break
-			}
-			conns = append(conns, &conn{fd: fd})
-			busy = true
-		}
-		live := conns[:0]
-		for _, c := range conns {
-			ok, progressed := s.drain(c)
-			if !ok {
-				_ = s.proc.Close(c.fd)
-				continue
-			}
-			busy = busy || progressed
-			live = append(live, c)
-		}
-		conns = live
-		if !busy {
-			time.Sleep(serverPoll)
-		}
-	}
-}
-
-// drain reads whatever c has buffered, up to one byte past the line cap,
-// and answers each complete line. Returns ok=false when the connection is
-// gone or must be closed.
-func (s *Server) drain(c *conn) (ok, progressed bool) {
-	data, err := s.proc.Recv(c.fd, maxRequestLine+1-len(c.buf))
-	if len(data) > 0 {
-		c.buf = append(c.buf, data...)
-		progressed = true
-	}
-	if err != nil && !kernel.IsWouldBlock(err) {
-		return false, progressed
-	}
-	for {
-		i := bytes.IndexByte(c.buf, '\n')
-		if i < 0 {
-			if len(c.buf) > maxRequestLine {
-				s.reply(c, s.status(false, fmt.Sprintf("policyd: request line exceeds %d bytes", maxRequestLine)))
-				return false, progressed
-			}
-			return true, progressed
-		}
-		line := c.buf[:i]
-		c.buf = c.buf[i+1:]
-		if !s.reply(c, s.handle(line)) {
-			return false, progressed
-		}
-	}
-}
-
-// reply sends one response line; false means the connection is gone.
-func (s *Server) reply(c *conn, resp Response) bool {
-	out, err := json.Marshal(resp)
-	if err != nil {
-		out = []byte(`{"ok":false,"err":"policyd: response marshal failed"}`)
-	}
-	out = append(out, '\n')
-	_, err = s.proc.Send(c.fd, out)
-	return err == nil || kernel.IsWouldBlock(err)
-}
-
-// handle executes one request line.
-func (s *Server) handle(line []byte) Response {
+// handle executes one request line; err is the line service's framing
+// error (a line over the cap).
+func (s *Server) handle(line []byte, err error) Response {
 	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
+	if err == nil {
+		err = json.Unmarshal(line, &req)
+	}
+	if err != nil {
 		return s.status(false, fmt.Sprintf("policyd: bad request: %v", err))
 	}
 	switch req.Op {

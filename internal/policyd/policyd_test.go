@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pfirewall/internal/kernel"
+	"pfirewall/internal/linesvc"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/pfcheck"
 	"pfirewall/internal/pftables"
@@ -285,7 +286,7 @@ func TestPublisherFanout(t *testing.T) {
 func TestBadRequestLine(t *testing.T) {
 	w := policyWorld(t)
 	_, cl := serveWorld(t, w)
-	if _, err := cl.proc.Send(cl.fd, []byte("not json\n")); err != nil {
+	if _, err := cl.conn.Proc.Send(cl.conn.Fd, []byte("not json\n")); err != nil {
 		t.Fatal(err)
 	}
 	// Read the error response by hand via Do's machinery: issue a ping and
@@ -379,14 +380,14 @@ func TestOversizedRequestLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bad.Close()
-	if _, err := bad.proc.Send(bad.fd, bytes.Repeat([]byte{'a'}, maxRequestLine+1)); err != nil {
+	if _, err := bad.conn.Proc.Send(bad.conn.Fd, bytes.Repeat([]byte{'a'}, linesvc.MaxLine+1)); err != nil {
 		t.Fatal(err)
 	}
 	// Read until the server hangs up: the error line, then a closed peer.
 	var got []byte
 	deadline := time.Now().Add(DefaultTimeout)
 	for {
-		data, err := bad.proc.Recv(bad.fd, 0)
+		data, err := bad.conn.Proc.Recv(bad.conn.Fd, 0)
 		got = append(got, data...)
 		if err != nil && !kernel.IsWouldBlock(err) {
 			break
@@ -406,4 +407,63 @@ func TestOversizedRequestLine(t *testing.T) {
 	if resp, err := good.Do(Request{Op: "ping"}, 0); err != nil || !resp.OK {
 		t.Fatalf("second client's ping: %v %+v", err, resp)
 	}
+}
+
+// TestIdleServerIssuesNoSyscalls: a server with a connected client waits on
+// readiness and issues no syscalls while nobody speaks.
+func TestIdleServerIssuesNoSyscalls(t *testing.T) {
+	w := policyWorld(t)
+	serveWorld(t, w)
+	n0 := w.K.SyscallCount.Load()
+	time.Sleep(100 * time.Millisecond)
+	if n := w.K.SyscallCount.Load() - n0; n != 0 {
+		t.Fatalf("idle policyd issued %d syscalls in 100ms", n)
+	}
+}
+
+// FuzzPolicydLine feeds arbitrary bytes through the line service's framing
+// into policyd's request handler, without sockets: no panic, exactly one
+// reply per complete line, and every reply is one JSON Response line.
+func FuzzPolicydLine(f *testing.F) {
+	cfg := pf.Optimized()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
+		s := &Server{env: w.Env, engine: w.Engine}
+		var in linesvc.Lines
+		replies := 0
+		open := in.Answer(data, s.answer, func(reply []byte) bool {
+			replies++
+			var resp Response
+			if bytes.IndexByte(reply, '\n') != len(reply)-1 || json.Unmarshal(reply, &resp) != nil {
+				t.Fatalf("reply is not one JSON Response line: %q", reply)
+			}
+			return true
+		})
+		if len(data) <= linesvc.MaxLine && !open {
+			t.Fatalf("framing closed the connection on a %d-byte input", len(data))
+		}
+		if want := bytes.Count(data, []byte{'\n'}); replies != want {
+			t.Fatalf("%d replies for %d complete lines", replies, want)
+		}
+	})
+}
+
+// TestServeReleasesNameOnFailure: a Serve whose listen the firewall denies
+// leaves the rendezvous name free, so a later Serve can bind it.
+func TestServeReleasesNameOnFailure(t *testing.T) {
+	w := policyWorld(t)
+	if _, err := pftables.Install(w.Env, w.Engine, `pftables -o SOCKET_LISTEN -s pfpolicyd_t -j DROP`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Serve(w.K, w.Env, w.Engine, "", nil); err == nil {
+		t.Fatal("Serve succeeded with its listen denied")
+	}
+	if _, err := w.Engine.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(w.K, w.Env, w.Engine, "", nil)
+	if err != nil {
+		t.Fatalf("Serve after the failed one: %v", err)
+	}
+	srv.Close()
 }

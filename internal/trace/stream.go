@@ -1,28 +1,14 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"time"
 
 	"pfirewall/internal/kernel"
+	"pfirewall/internal/linesvc"
 	"pfirewall/internal/obs"
 )
-
-// Span streaming over the simulated kernel's own socket subsystem: the
-// server process binds an abstract-namespace socket inside the world and
-// relays sampled provenance spans as JSON lines to every connected client.
-// Dogfooding internal/ipc as the transport means the stream itself runs
-// the full mediation gauntlet — so both endpoint processes are muted on
-// the tracer, otherwise the transport's Send/Recv syscalls would generate
-// spans describing their own delivery and feed back forever at low
-// sampling periods.
-//
-// Concurrency: each endpoint owns exactly one simulated process and issues
-// all of that process's syscalls from one goroutine (the server's event
-// loop; the client caller's), preserving the kernel's single-flow
-// invariant. Server and client never share a process.
 
 // DefaultStreamName is the abstract-namespace rendezvous both pfctl -trace
 // and ServeSpans default to.
@@ -33,21 +19,10 @@ const DefaultStreamName = "pftrace"
 // match the transport.
 const streamLabel = "pftrace_t"
 
-// serverPoll bounds how long an idle server loop sleeps between accept
-// polls; span delivery itself is channel-driven and does not wait on it.
-const serverPoll = 2 * time.Millisecond
-
-// serverSubBuf is the relay's subscription depth. Publishes are
-// synchronous with the traced workload while the relay runs on its own
-// goroutine, so a burst can outrun the relay before it is even scheduled;
-// a deep buffer absorbs whole bursts (a span is ~300 bytes) and the
-// tracer's drop counters record anything deeper.
+// serverSubBuf is the relay's subscription depth: publishes are
+// synchronous with the traced workload, so a deep buffer absorbs whole
+// bursts (a span is ~300 bytes) and the tracer counts anything deeper.
 const serverSubBuf = 8192
-
-// serverDrainMax bounds how many buffered spans the relay forwards before
-// polling for new connections again, so a saturating publisher cannot
-// starve accepts.
-const serverDrainMax = 512
 
 // ErrNoTracer is returned by ServeSpans on a kernel without an attached
 // tracer (observability missing or ObsConfig.TraceEvery zero).
@@ -55,22 +30,21 @@ var ErrNoTracer = errors.New("trace: kernel has no tracer attached (set ObsConfi
 
 // ErrStreamTimeout is returned by SpanClient.Next when no span arrived
 // within the deadline.
-var ErrStreamTimeout = errors.New("trace: span stream read timed out")
+var ErrStreamTimeout = linesvc.ErrTimeout
 
-// SpanServer relays tracer spans to in-simulation subscribers.
+// SpanServer relays sampled spans as JSON lines to in-world subscribers over
+// the simulated kernel's own sockets (internal/linesvc). Both endpoints are
+// muted on the tracer, or their syscalls would trace their own delivery.
 type SpanServer struct {
-	k    *kernel.Kernel
-	t    *obs.Tracer
-	proc *kernel.Proc
-	lfd  int
-
-	stop chan struct{}
-	done chan struct{}
+	t   *obs.Tracer
+	sub *obs.SpanSub
+	svc *linesvc.Server
 }
 
 // ServeSpans binds an abstract socket named name (DefaultStreamName when
-// empty) inside k's world and starts the relay loop. The server process is
-// muted on the tracer before it issues its first syscall.
+// empty) inside k's world and starts the relay. The tracer subscription
+// exists before ServeSpans returns, and a client that cannot keep up loses
+// the lines its stream has no room for.
 func ServeSpans(k *kernel.Kernel, name string) (*SpanServer, error) {
 	t := k.Tracer()
 	if t == nil {
@@ -79,164 +53,58 @@ func ServeSpans(k *kernel.Kernel, name string) (*SpanServer, error) {
 	if name == "" {
 		name = DefaultStreamName
 	}
-	proc := k.NewProc(kernel.ProcSpec{UID: 0, Label: streamLabel})
-	t.Mute(proc.PID())
-	lfd, err := proc.BindAbstract(name)
+	sub := t.SubscribeBuf(serverSubBuf)
+	// Subscribers ask nothing; a span that fails to encode is skipped.
+	ignore := func([]byte, error) []byte { return nil }
+	encode := func(sp obs.Span) []byte { line, _ := json.Marshal(&sp); return line }
+	svc, err := linesvc.Serve(k, name, streamLabel, ignore, sub.C(), encode)
 	if err != nil {
+		t.Unsubscribe(sub)
 		return nil, err
 	}
-	if err := proc.Listen(lfd, 16); err != nil {
-		return nil, err
-	}
-	s := &SpanServer{
-		k: k, t: t, proc: proc, lfd: lfd,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go s.loop()
-	return s, nil
+	return &SpanServer{t: t, sub: sub, svc: svc}, nil
 }
 
-// Close stops the relay loop and waits for it to unwind. The server's
+// Close stops the relay and waits for it to unwind. The server's
 // subscription is dropped and every client connection is closed.
 func (s *SpanServer) Close() {
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	<-s.done
-}
-
-// loop is the server's single flow: accept pending clients, drain the
-// tracer subscription, relay each span as one JSON line. A client that
-// cannot keep up (send would block) loses that line; a closed client is
-// reaped on its next send error.
-func (s *SpanServer) loop() {
-	defer close(s.done)
-	sub := s.t.SubscribeBuf(serverSubBuf)
-	defer s.t.Unsubscribe(sub)
-	var fds []int
-	defer func() {
-		for _, fd := range fds {
-			_ = s.proc.Close(fd)
-		}
-		_ = s.proc.Close(s.lfd)
-	}()
-	for {
-		// Admit every pending connection before blocking on spans.
-		for {
-			fd, err := s.proc.Accept(s.lfd)
-			if err != nil {
-				break
-			}
-			fds = append(fds, fd)
-		}
-		select {
-		case <-s.stop:
-			return
-		case sp, ok := <-sub.C():
-			if !ok {
-				return
-			}
-			fds = s.relay(fds, &sp)
-			// Forward whatever else is already buffered before paying
-			// another accept-poll syscall, bounded so a saturating
-			// publisher cannot starve new connections.
-			for n := 1; n < serverDrainMax; n++ {
-				select {
-				case sp, ok := <-sub.C():
-					if !ok {
-						return
-					}
-					fds = s.relay(fds, &sp)
-					continue
-				default:
-				}
-				break
-			}
-		case <-time.After(serverPoll):
-		}
-	}
-}
-
-// relay sends one span as a JSON line to every connected client, reaping
-// connections whose peer is gone, and returns the surviving fd set.
-func (s *SpanServer) relay(fds []int, sp *obs.Span) []int {
-	if len(fds) == 0 {
-		return fds
-	}
-	line, err := json.Marshal(sp)
-	if err != nil {
-		return fds
-	}
-	line = append(line, '\n')
-	live := fds[:0]
-	for _, fd := range fds {
-		if _, err := s.proc.Send(fd, line); err != nil && !kernel.IsWouldBlock(err) {
-			// Peer gone (or the connection was torn down): reap.
-			_ = s.proc.Close(fd)
-			continue
-		}
-		live = append(live, fd)
-	}
-	return live
+	s.svc.Close()
+	s.t.Unsubscribe(s.sub)
 }
 
 // SpanClient tails a SpanServer from inside the simulation.
 type SpanClient struct {
-	proc *kernel.Proc
-	fd   int
-	buf  []byte
+	conn *linesvc.Client
 }
 
-// DialSpans connects a fresh (muted) process to the named span stream.
+// DialSpans connects a fresh (muted) process to the named span stream and
+// returns once the relay has admitted it: every span published afterwards
+// reaches the client.
 func DialSpans(k *kernel.Kernel, name string) (*SpanClient, error) {
 	if name == "" {
 		name = DefaultStreamName
 	}
-	proc := k.NewProc(kernel.ProcSpec{UID: 0, Label: streamLabel})
-	if t := k.Tracer(); t != nil {
-		t.Mute(proc.PID())
-	}
-	fd, err := proc.ConnectAbstract(name)
+	conn, err := linesvc.Dial(k, name, streamLabel)
 	if err != nil {
 		return nil, err
 	}
-	return &SpanClient{proc: proc, fd: fd}, nil
+	return &SpanClient{conn: conn}, nil
 }
 
-// Next returns the next streamed span, polling the (non-blocking)
-// simulated socket until timeout. Returns ErrStreamTimeout when nothing
-// arrived in time and the transport error when the stream closed.
+// Next returns the next streamed span, waiting up to timeout. Returns
+// ErrStreamTimeout when nothing arrived in time and the transport error
+// when the stream closed.
 func (c *SpanClient) Next(timeout time.Duration) (obs.Span, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		if i := bytes.IndexByte(c.buf, '\n'); i >= 0 {
-			line := c.buf[:i]
-			c.buf = c.buf[i+1:]
-			var sp obs.Span
-			if err := json.Unmarshal(line, &sp); err != nil {
-				return obs.Span{}, err
-			}
-			return sp, nil
-		}
-		data, err := c.proc.Recv(c.fd, 0)
-		if len(data) > 0 {
-			c.buf = append(c.buf, data...)
-			continue
-		}
-		if err != nil && !kernel.IsWouldBlock(err) {
-			return obs.Span{}, err
-		}
-		if time.Now().After(deadline) {
-			return obs.Span{}, ErrStreamTimeout
-		}
-		time.Sleep(200 * time.Microsecond)
+	line, err := c.conn.ReadLine(timeout)
+	if err != nil {
+		return obs.Span{}, err
 	}
+	var sp obs.Span
+	if err := json.Unmarshal(line, &sp); err != nil {
+		return obs.Span{}, err
+	}
+	return sp, nil
 }
 
 // Close tears down the client's end of the stream.
-func (c *SpanClient) Close() {
-	_ = c.proc.Close(c.fd)
-}
+func (c *SpanClient) Close() { c.conn.Close() }

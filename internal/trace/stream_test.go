@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pfirewall/internal/ipc"
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/obs"
 	"pfirewall/internal/pf"
@@ -42,14 +43,7 @@ func TestSpanStreamDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-
-	// Let the server's accept loop admit the client before traffic flows —
-	// spans published before the fd is admitted are not relayed to it.
 	deadline := time.Now().Add(time.Second)
-	for w.K.Tracer().Subscribers() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * serverPoll)
 
 	p := w.K.NewProc(kernel.ProcSpec{UID: 0, Label: "httpd_t", Exec: "/usr/bin/apache2"})
 	var opened bool
@@ -82,9 +76,124 @@ func TestSpanStreamDelivers(t *testing.T) {
 
 	// The transport muted itself: no span describes the stream's own pids.
 	for _, sp := range w.K.Tracer().Snapshot() {
-		if sp.PID == srv.proc.PID() || sp.PID == cl.proc.PID() {
+		if sp.PID == srv.svc.PID() || sp.PID == cl.conn.Proc.PID() {
 			t.Fatalf("transport traced itself: %+v", sp)
 		}
+	}
+}
+
+// TestSpanRightAfterDialArrives: DialSpans returns only once the relay has
+// admitted the client, so a span published the moment it returns reaches
+// the client.
+func TestSpanRightAfterDialArrives(t *testing.T) {
+	w := tracedWorld(t, 1)
+	srv, err := ServeSpans(w.K, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := w.K.NewProc(kernel.ProcSpec{UID: 0, Label: "httpd_t", Exec: "/usr/bin/apache2"})
+	cl, err := DialSpans(w.K, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = p.Close(fd)
+	for {
+		sp, err := cl.Next(2 * time.Second)
+		if err != nil {
+			t.Fatalf("span published right after DialSpans returned never arrived: %v", err)
+		}
+		if sp.PID == p.PID() {
+			return
+		}
+	}
+}
+
+// TestIdleRelayIssuesNoSyscalls: with a subscriber admitted and no workload
+// running, the relay and its client wait on readiness and issue no
+// syscalls at all.
+func TestIdleRelayIssuesNoSyscalls(t *testing.T) {
+	w := tracedWorld(t, 1)
+	srv, err := ServeSpans(w.K, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := DialSpans(w.K, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	n0 := w.K.SyscallCount.Load()
+	time.Sleep(100 * time.Millisecond)
+	if n := w.K.SyscallCount.Load() - n0; n != 0 {
+		t.Fatalf("idle relay issued %d syscalls in 100ms", n)
+	}
+}
+
+// TestSlowSubscriberStaysBounded: a subscriber that never reads holds at
+// most ipc.StreamMax unread bytes (the relay drops the lines it has no room
+// for) while a subscriber that reads keeps receiving spans.
+func TestSlowSubscriberStaysBounded(t *testing.T) {
+	w := tracedWorld(t, 1)
+	srv, err := ServeSpans(w.K, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	slow, err := DialSpans(w.K, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	fast, err := DialSpans(w.K, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.Close()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		p := w.K.NewProc(kernel.ProcSpec{UID: 0, Label: "httpd_t", Exec: "/usr/bin/apache2"})
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0); err == nil {
+				_ = p.Close(fd)
+			}
+		}
+	}()
+	// Every line the fast subscriber receives was offered to the slow one
+	// too, so past StreamMax bytes the slow one's stream has filled.
+	received := 0
+	for received <= ipc.StreamMax+1<<20 {
+		line, err := fast.conn.ReadLine(5 * time.Second)
+		if err != nil {
+			close(stop)
+			t.Fatalf("fast subscriber stalled after %d bytes: %v", received, err)
+		}
+		received += len(line) + 1
+	}
+	close(stop)
+	<-done
+	held, err := slow.conn.Proc.Recv(slow.conn.Fd, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(held) == 0 || len(held) > ipc.StreamMax {
+		t.Fatalf("slow subscriber holds %d unread bytes, want 1..%d", len(held), ipc.StreamMax)
+	}
+	if held[len(held)-1] != '\n' {
+		t.Fatal("slow subscriber's stream ends in a partial line")
 	}
 }
 
