@@ -73,9 +73,12 @@ perfbench-check:
 
 # Native fuzz targets over untrusted input, a short run each on top of the
 # checked-in seed corpora (testdata/fuzz) that `go test` always replays.
+# Each minimization gets one run of the target, so a 10 s run spends its
+# budget fuzzing rather than shrinking newly interesting inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseInvariants$$' -fuzztime 10s ./internal/pfverify
-	$(GO) test -run '^$$' -fuzz '^FuzzPolicydLine$$' -fuzztime 10s ./internal/policyd
+	$(GO) test -run '^$$' -fuzz '^FuzzParseInvariants$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/pfverify
+	$(GO) test -run '^$$' -fuzz '^FuzzPolicydLine$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/policyd
+	$(GO) test -run '^$$' -fuzz '^FuzzUnwind$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/ustack
 
 # Ruleset gate: the pfcheck static analyzer must pass (no error-severity
 # findings) on every shipped example ruleset, the paper's Table 5 base, and

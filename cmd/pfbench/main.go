@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -50,6 +51,15 @@ import (
 	"pfirewall/internal/rulegen"
 	"pfirewall/internal/safeopen"
 	"pfirewall/internal/webbench"
+)
+
+// The sendmmsg-8 allocation budget the alloc gate enforces: the data
+// plane hands each received message out as a fresh byte slice. The
+// recorded figure (BENCH_alloc.json) is the ceiling; lower these when the
+// row improves, never raise them.
+const (
+	sendmmsgAllocs = 6
+	sendmmsgBytes  = 208
 )
 
 func main() {
@@ -70,7 +80,7 @@ func main() {
 	policyPublishes := flag.Int("policy-publishes", 400, "publishes per -policy latency cell")
 	policyMax := flag.Int("policy-max", 0, "largest -policy rule-base size (0: all standard sizes)")
 	allocRun := flag.Bool("alloc", false, "run the hot-path allocation profile (allocs/op, bytes/op, p99)")
-	allocGate := flag.Bool("alloc-gate", false, "with -alloc: fail if the open+close or stat workload allocates at all")
+	allocGate := flag.Bool("alloc-gate", false, "with -alloc: fail if the open+close or stat workload allocates at all, or sendmmsg-8 exceeds its allocation budget")
 	verifyRun := flag.Bool("verify", false, "run the symbolic-verifier scaling sweep (invariant proof wall clock vs rule-base size)")
 	verifyGate := flag.Bool("verify-gate", false, "with -verify: fail if any invariant fails to prove or any sweep exceeds the wall-clock budget")
 	verifyJSONPath := flag.String("verify-json", "", "write -verify results as JSON to this file")
@@ -243,8 +253,13 @@ func main() {
 				if (c.Workload == "open+close" || c.Workload == "stat") && c.AllocsPerOp != 0 {
 					fatal("alloc gate:", fmt.Errorf("%s allocates %.3f/op on the armed hot path, want 0", c.Workload, c.AllocsPerOp))
 				}
+				if c.Workload == "sendmmsg-8" && (math.Round(c.AllocsPerOp) > sendmmsgAllocs || math.Round(c.BytesPerOp) > sendmmsgBytes) {
+					fatal("alloc gate:", fmt.Errorf("sendmmsg-8 allocates %.3f/op, %.1f B/op; budget %d/op, %d B/op",
+						c.AllocsPerOp, c.BytesPerOp, sendmmsgAllocs, sendmmsgBytes))
+				}
 			}
-			fmt.Println("alloc gate: ok (open+close and stat allocation-free)")
+			fmt.Printf("alloc gate: ok (open+close and stat allocation-free, sendmmsg-8 within %d allocs / %d B per op)\n",
+				sendmmsgAllocs, sendmmsgBytes)
 		}
 	}
 	if *obsRun || *tracingRun {

@@ -111,18 +111,19 @@ func (b *Batch) Filter(req *Request) Verdict {
 		ctx.Require(rs.allNeeds)
 	}
 
-	start := "input"
+	slot := slotInput
 	if req.Op == OpSyscallBegin {
-		start = "syscallbegin"
+		slot = slotSyscallBegin
 	}
+	start := builtinChains[slot]
 
 	v, final := VerdictAccept, false
 	// The mangle table runs first for resource requests (it may mark state
 	// or log but can also issue verdicts, as in iptables).
-	if start == "input" {
-		if mangle := rs.index["mangle/input"]; mangle != nil && len(mangle.chain.Rules) > 0 {
+	if slot == slotInput {
+		if mangle := rs.builtin[slotMangle]; mangle != nil && len(mangle.chain.Rules) > 0 {
 			if sp != nil {
-				sp.PushChain("mangle/input")
+				sp.PushChain(builtinChains[slotMangle])
 			}
 			if act := e.run(ctx, rs, mangle); act.Final {
 				v, final = act.Verdict, true
@@ -133,7 +134,7 @@ func (b *Batch) Filter(req *Request) Verdict {
 		if sp != nil {
 			sp.PushChain(start)
 		}
-		if ci := rs.index[start]; ci != nil {
+		if ci := rs.builtin[slot]; ci != nil {
 			if act := e.run(ctx, rs, ci); act.Final {
 				v, final = act.Verdict, true
 			}
@@ -143,14 +144,14 @@ func (b *Batch) Filter(req *Request) Verdict {
 	// Entrypoint-specific chains: only rules whose entrypoint appears on
 	// the current stack are considered (Section 4.3), keys in stack order.
 	// If none of the process's mapped binaries (or interpreter) can appear
-	// in a key, the stack is not even unwound. A jump walks its target and
+	// in a key, the stack is not even unwound. The keys the stack hits come
+	// from the process's cached route list. A jump walks its target and
 	// resumes the scan; RETURN from an entrypoint rule is ignored.
 	if !final && rs.eptChains && rs.hasEptRules && mayMatchEpt(rs, req.Proc) {
-		eps, _ := ctx.Entrypoints()
 		subject := req.Proc.SubjectSID()
 	scan:
-		for _, ep := range eps {
-			cur := rs.EntryCursor(start, ep, req.Op, subject)
+		for _, ci := range ctx.entryRoutes(slot) {
+			cur := ci.cursor(req.Op, subject)
 			for r := cur.NextRule(); r != nil; r = cur.NextRule() {
 				act := e.evalRule(ctx, r)
 				if !act.Final && act.Jump != "" {

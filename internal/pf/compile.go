@@ -124,9 +124,12 @@ type Program struct {
 	chains map[string]*Chain
 	// index holds every chain's dispatch index; ept the per-entrypoint-key
 	// indexes (EptChains only). Both are derived at compile time,
-	// incrementally from the previous snapshot's where possible.
+	// incrementally from the previous snapshot's where possible. builtin
+	// holds the built-in chains' indexes by slot, so a request enters the
+	// program without a name lookup.
 	index     map[string]*chainIndex
 	ept       map[entryKey]*chainIndex
+	builtin   [builtinSlots]*chainIndex
 	eptChains bool
 
 	// Summaries, maintained by the transaction (widened on install,
@@ -153,18 +156,40 @@ type Program struct {
 	version uint64
 }
 
-// entryKey names one entrypoint-specific index. The chain is part of the
-// key so input-chain rules never run from the syscallbegin hook.
+// entryKey names one entrypoint-specific index. The chain's slot is part
+// of the key so input-chain rules never run from the syscallbegin hook.
 type entryKey struct {
-	chain   string
+	slot    uint8
 	program string
 	off     uint64
 }
 
-// builtinChains are the chains every engine has: the filter table's input
-// and syscallbegin hooks and the mangle table's input hook. Requests enter
-// only through them, so a jump must target a user chain.
-var builtinChains = []string{"input", "syscallbegin", "mangle/input"}
+// Built-in chain slots. The first entrySlots are the filter chains whose
+// entrypoint rules route by entrypoint key under EptChains.
+const (
+	slotInput = iota
+	slotSyscallBegin
+	slotMangle
+	builtinSlots
+	entrySlots = slotMangle
+)
+
+// builtinChains names the chains every engine has, by slot: the filter
+// table's input and syscallbegin hooks and the mangle table's input hook.
+// Requests enter only through them, so a jump must target a user chain.
+var builtinChains = [builtinSlots]string{"input", "syscallbegin", "mangle/input"}
+
+// entrySlot returns the slot of chain when it routes entrypoint rules by
+// key (input or syscallbegin).
+func entrySlot(chain string) (int, bool) {
+	switch chain {
+	case "input":
+		return slotInput, true
+	case "syscallbegin":
+		return slotSyscallBegin, true
+	}
+	return 0, false
+}
 
 // Compile builds the decision program of a chain snapshot under cfg (only
 // EptChains shapes the program). It reads the chains and never writes them,
@@ -199,10 +224,33 @@ func (p *Program) Cursor(name string, op Op, subject mac.SID) (Cursor, bool) {
 // name keyed on ep, for a request with op by subject. It is empty unless
 // the program was compiled with EptChains.
 func (p *Program) EntryCursor(name string, ep Entrypoint, op Op, subject mac.SID) Cursor {
-	if ci := p.ept[entryKey{name, ep.Path, ep.Off}]; ci != nil {
-		return ci.cursor(op, subject)
+	if slot, ok := entrySlot(name); ok {
+		if ci := p.entryIndex(slot, ep); ci != nil {
+			return ci.cursor(op, subject)
+		}
 	}
 	return Cursor{}
+}
+
+// entryIndex returns the index of entrypoint key (slot, ep), or nil. It is
+// the one lookup behind EntryCursor and the route lists Batch.Filter walks.
+func (p *Program) entryIndex(slot int, ep Entrypoint) *chainIndex {
+	return p.ept[entryKey{uint8(slot), ep.Path, ep.Off}]
+}
+
+// routes lists the indexes of the entrypoint keys of slot that the frames
+// eps hit, in stack order with duplicates kept: what EntryCursor yields
+// frame by frame, minus the empty cursors.
+//
+//pflint:allow-fn — route-list miss path, once per (stack, exec, program) generation; cached hits allocate nothing.
+func (p *Program) routes(slot int, eps []Entrypoint) []*chainIndex {
+	var out []*chainIndex
+	for _, ep := range eps {
+		if ci := p.entryIndex(slot, ep); ci != nil {
+			out = append(out, ci)
+		}
+	}
+	return out
 }
 
 // Cursor walks one index's candidates for one request in first-match order:
@@ -249,10 +297,11 @@ func (c *Cursor) NextRule() *Rule {
 // chain's index for its key's. Entrypoint rules in mangle/input and in user
 // chains stay inline.
 func (p *Program) eptKeyOf(chain string, r *Rule) (entryKey, bool) {
-	if !p.eptChains || !r.EntrySet || (chain != "input" && chain != "syscallbegin") {
+	slot, ok := entrySlot(chain)
+	if !p.eptChains || !r.EntrySet || !ok {
 		return entryKey{}, false
 	}
-	return entryKey{chain, r.Program, r.Entry}, true
+	return entryKey{uint8(slot), r.Program, r.Entry}, true
 }
 
 // ordAt returns the order key of the chain's i-th rule. Chains built outside
@@ -283,7 +332,15 @@ func (p *Program) compile() {
 			dst.add(indexedRule{ord: c.ordAt(i), r: r})
 		}
 	}
+	p.fillBuiltins()
 	p.deriveEptPrograms()
+}
+
+// fillBuiltins points the built-in slots at their chains' indexes.
+func (p *Program) fillBuiltins() {
+	for slot, name := range builtinChains {
+		p.builtin[slot] = p.index[name]
+	}
 }
 
 // deriveEptPrograms rebuilds the set of programs some entrypoint key names,
@@ -418,6 +475,7 @@ func (p *Program) patch(prev *Program, delta map[string][]ruleDelta) bool {
 			p.ept[t.key] = ci
 		}
 	}
+	p.fillBuiltins()
 	if eptOwned {
 		p.deriveEptPrograms()
 	}

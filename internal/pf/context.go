@@ -423,6 +423,28 @@ func unwindEntrypoints(p Process) ([]Entrypoint, bool) {
 	return entries, false
 }
 
+// entryRoutes returns the indexes of the entrypoint keys of slot that the
+// request's stack hits, in stack order with duplicates kept. Under
+// CtxCache the list is cached in ProcState next to the entrypoint cache,
+// keyed on the same stack and address-space generations plus the program
+// generation; otherwise it is rebuilt for every request.
+func (c *EvalCtx) entryRoutes(slot int) []*chainIndex {
+	eps, _ := c.Entrypoints()
+	if !c.engine.cfg.CtxCache {
+		return c.rs.routes(slot, eps)
+	}
+	ps := c.Req.Proc.PFState()
+	rc := &ps.routes[slot]
+	if !rc.valid || rc.rsGen != c.rs.gen || rc.stackGen != ps.cacheStackGen || rc.mapGen != ps.cacheMapGen {
+		*rc = routeCache{
+			list:     c.rs.routes(slot, eps),
+			stackGen: ps.cacheStackGen, mapGen: ps.cacheMapGen, rsGen: c.rs.gen,
+			valid: true,
+		}
+	}
+	return rc.list
+}
+
 // Entrypoints returns the unwound entrypoints, collecting them if needed.
 func (c *EvalCtx) Entrypoints() ([]Entrypoint, bool) {
 	c.Require(CtxEntrypoints)

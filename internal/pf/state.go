@@ -32,6 +32,10 @@ type ProcState struct {
 	cacheMapGen    uint64
 	cacheValid     bool
 
+	// Entrypoint route lists, one per entry slot (input, syscallbegin): the
+	// entrypoint-key indexes the cached stack hits (EvalCtx.entryRoutes).
+	routes [entrySlots]routeCache
+
 	// mayMatchEpt memo: whether any executable mapping is named by an
 	// indexed entrypoint rule, valid while both the address-space mapping
 	// generation and the ruleset generation are unchanged. Both generations
@@ -53,6 +57,17 @@ type ProcState struct {
 	// (a context module that itself triggers mediation) simply pops a
 	// second context. LIFO keeps the hot context cache-warm.
 	ctxFree []*EvalCtx
+}
+
+// routeCache is one cached route list, valid while the entrypoint cache's
+// (StackGen, AddrSpace generation) pair and the program generation all
+// equal the triple it was built under. Program generations are globally
+// unique, so a publish or a rollback always misses. Like cachedEntries, a
+// stored list is never written again.
+type routeCache struct {
+	list                    []*chainIndex
+	stackGen, mapGen, rsGen uint64
+	valid                   bool
 }
 
 // NewProcState returns an empty per-process state.

@@ -199,7 +199,7 @@ func checkRule(r *Rule) error {
 	}
 	// Requests enter built-in chains only at their hooks, as in iptables;
 	// a jump must name a user chain.
-	if j, ok := r.Target.(*JumpTarget); ok && slices.Contains(builtinChains, j.ChainName) {
+	if j, ok := r.Target.(*JumpTarget); ok && slices.Contains(builtinChains[:], j.ChainName) {
 		return fmt.Errorf("pf: jump target %q is a built-in chain", j.ChainName)
 	}
 	return nil

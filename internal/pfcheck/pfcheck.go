@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -451,6 +452,66 @@ func analysisFindings(rep *Report, an *pf.RulesetAnalysis, chains map[string]*pf
 		}
 		rep.add(SevError, CodeJumpCycle, pos, "jump cycle: %s -> %s", strings.Join(cyc, " -> "), cyc[0])
 	}
+}
+
+// CycleJumps reports, as jump-cycle errors, every jump rule from source file
+// that lies on a jump cycle of chains: a jump from chain a to chain b closes
+// a loop exactly when a is reachable from b. The analyses cite each cycle
+// at the one jump that closes it in DFS order, which may belong to another
+// file; a gate that vetoes a batch's own defects asks this instead, so
+// whether a batch may close a cycle does not depend on chain names.
+func CycleJumps(chains map[string]*pf.Chain, file string) []Finding {
+	type jump struct {
+		from, to string
+		r        *pf.Rule
+	}
+	var own []jump
+	edges := make(map[string][]string, len(chains))
+	for name, c := range chains {
+		for _, r := range c.Rules {
+			jt, ok := r.Target.(*pf.JumpTarget)
+			if !ok || chains[jt.ChainName] == nil {
+				continue
+			}
+			edges[name] = append(edges[name], jt.ChainName)
+			if r.Src.File == file {
+				own = append(own, jump{name, jt.ChainName, r})
+			}
+		}
+	}
+	var out []Finding
+	for _, j := range own {
+		// Breadth-first from the jump's target back to its chain; prev keeps
+		// the search tree so the way back can be printed.
+		prev := map[string]string{j.to: j.to}
+		for queue := []string{j.to}; len(queue) > 0 && prev[j.from] == ""; queue = queue[1:] {
+			for _, n := range edges[queue[0]] {
+				if prev[n] == "" {
+					prev[n] = queue[0]
+					queue = append(queue, n)
+				}
+			}
+		}
+		if prev[j.from] == "" {
+			continue
+		}
+		cyc := []string{j.from}
+		if j.from != j.to {
+			var walk []string // the chain that jumps back to j.from, ..., j.to
+			for n := prev[j.from]; ; n = prev[n] {
+				walk = append(walk, n)
+				if n == j.to {
+					break
+				}
+			}
+			slices.Reverse(walk)
+			cyc = append(cyc, walk...)
+		}
+		out = append(out, Finding{Sev: SevError, Code: CodeJumpCycle, Pos: j.r.Src,
+			Msg: fmt.Sprintf("jump cycle: %s -> %s", strings.Join(cyc, " -> "), j.from)})
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].String() < out[b].String() })
+	return out
 }
 
 // symbolFindings validates one rule's labels, program, and entrypoint

@@ -2,6 +2,7 @@ package pfcheck
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -380,5 +381,40 @@ func TestReportJSON(t *testing.T) {
 	}
 	if doc.Findings[1].Pos != "test.pft:2:10" {
 		t.Errorf("finding[1] pos = %q, want test.pft:2:10", doc.Findings[1].Pos)
+	}
+}
+
+// TestCycleJumpsCitesEveryOwnJump: every jump of the named source that lies
+// on a cycle is reported at its own position with the cycle it closes —
+// however long the cycle, a self-jump included — and jumps off any cycle,
+// or from another source, are not.
+func TestCycleJumpsCitesEveryOwnJump(t *testing.T) {
+	env := testEnv()
+	e := pf.New(env.Policy, pf.Config{})
+	if _, err := pftables.InstallAllFrom(env, e, "base.pft", []string{
+		"pftables -N ca", "pftables -N cb", "pftables -N cc", "pftables -N cd",
+		"pftables -A input -s httpd_t -j ca",
+		"pftables -A cb -j cc",
+		"pftables -A cc -j ca",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pftables.InstallAllFrom(env, e, "batch.pft", []string{
+		"pftables -A ca -j cb", // closes ca -> cb -> cc -> ca
+		"pftables -A ca -j cd", // leads off every cycle
+		"pftables -A cd -j cd", // jumps to itself
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range CycleJumps(e.Program().Chains(), "batch.pft") {
+		got = append(got, fmt.Sprintf("%d %s", f.Pos.Line, f.Msg))
+	}
+	want := []string{"1 jump cycle: ca -> cb -> cc -> ca", "3 jump cycle: cd -> cd"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch.pft cycle jumps = %q, want %q", got, want)
+	}
+	if fs := CycleJumps(e.Program().Chains(), "other.pft"); len(fs) != 0 {
+		t.Fatalf("jumps of a source with none: %v", fs)
 	}
 }

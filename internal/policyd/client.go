@@ -2,6 +2,7 @@ package policyd
 
 import (
 	"encoding/json"
+	"fmt"
 	"time"
 
 	"pfirewall/internal/kernel"
@@ -19,6 +20,10 @@ const DefaultTimeout = 5 * time.Second
 // from one goroutine at a time (the kernel's single-flow invariant).
 type Client struct {
 	conn *linesvc.Client
+	// err is the read failure that closed the connection. Responses carry
+	// no request id, so after a late or lost response the stream can no
+	// longer be paired with requests; every later call fails with err.
+	err error
 }
 
 // Dial connects a fresh (muted) process to the named control socket and
@@ -35,8 +40,13 @@ func Dial(k *kernel.Kernel, name string) (*Client, error) {
 }
 
 // Do sends one request and waits for its response (requests on one
-// connection are answered in order).
+// connection are answered in order). A call whose response does not arrive
+// in time closes the connection, so that response can never be read as the
+// answer to a later request; later calls fail.
 func (c *Client) Do(req Request, timeout time.Duration) (Response, error) {
+	if c.err != nil {
+		return Response{}, fmt.Errorf("policyd: connection closed after an earlier call failed: %w", c.err)
+	}
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
@@ -46,6 +56,8 @@ func (c *Client) Do(req Request, timeout time.Duration) (Response, error) {
 	}
 	line, err := c.conn.ReadLine(timeout)
 	if err != nil {
+		c.err = err
+		c.conn.Close()
 		return Response{}, err
 	}
 	var resp Response

@@ -168,7 +168,9 @@ func (s *Server) status(ok bool, errMsg string) Response {
 // apply runs one batch as a single gated transaction. The gate analyzes
 // the candidate rule base and vetoes on error-class findings anchored in
 // this batch's source — pre-existing defects elsewhere in the rule base
-// never wedge the control plane.
+// never wedge the control plane. Jump cycles are judged per jump: the batch
+// is vetoed when any cycle runs through one of its jump rules, wherever
+// the analysis happens to cite that cycle.
 func (s *Server) apply(req *Request) Response {
 	src := req.Src
 	if src == "" {
@@ -181,9 +183,12 @@ func (s *Server) apply(req *Request) Response {
 		}
 		rep := pfcheck.AnalyzeRuleset(s.engine.Policy().SIDs(), prog.Chains(), s.sym)
 		for _, f := range rep.Findings {
-			if f.Sev == pfcheck.SevError && f.Pos.File == src {
+			if f.Sev == pfcheck.SevError && f.Pos.File == src && f.Code != pfcheck.CodeJumpCycle {
 				vetoes = append(vetoes, f.String())
 			}
+		}
+		for _, f := range pfcheck.CycleJumps(prog.Chains(), src) {
+			vetoes = append(vetoes, f.String())
 		}
 		if len(vetoes) > 0 {
 			return errVetoed

@@ -3,6 +3,7 @@ package policyd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -466,4 +467,56 @@ func TestServeReleasesNameOnFailure(t *testing.T) {
 		t.Fatalf("Serve after the failed one: %v", err)
 	}
 	srv.Close()
+}
+
+// TestGateVetoesBatchJumpCycle: a batch whose jump closes a jump cycle is
+// vetoed whichever way the chains are named. The analysis cites a cycle at
+// the jump that closes it in DFS order, which may be the base's; the gate
+// must not depend on that. The handler runs without a socket, as in
+// FuzzPolicydLine, so a cycle wrongly accepted fails the test rather than
+// looping a mediated reply.
+func TestGateVetoesBatchJumpCycle(t *testing.T) {
+	for _, tc := range []struct{ base, batch string }{
+		{"pftables -A cb -j ca", "pftables -A ca -j cb"},
+		{"pftables -A ca -j cb", "pftables -A cb -j ca"},
+	} {
+		w := policyWorld(t)
+		s := &Server{env: w.Env, engine: w.Engine}
+		apply := func(src string, lines ...string) Response {
+			line, _ := json.Marshal(Request{Op: "apply", Src: src, Lines: lines})
+			return s.handle(line, nil)
+		}
+		base := apply("legacy.pft", "pftables -N ca", "pftables -N cb", "pftables -A input -s httpd_t -j ca", tc.base)
+		if !base.OK {
+			t.Fatalf("base %q: %s %v", tc.base, base.Err, base.Findings)
+		}
+		resp := apply("batch.pft", tc.batch)
+		if resp.OK || resp.Version != base.Version || len(resp.Findings) != 1 ||
+			!strings.Contains(resp.Findings[0], "batch.pft:1") || !strings.Contains(resp.Findings[0], "jump cycle") {
+			t.Errorf("base %q, batch %q: ok=%v version %d -> %d, findings %q; want one jump-cycle veto at batch.pft:1",
+				tc.base, tc.batch, resp.OK, base.Version, resp.Version, resp.Findings)
+		}
+	}
+}
+
+// TestDoAfterTimeoutFails: a call that timed out closes its connection, so
+// its late response can never be read as the answer to a later request. A
+// gate that waits for the test holds the apply's response back until the
+// call has timed out.
+func TestDoAfterTimeoutFails(t *testing.T) {
+	w := policyWorld(t)
+	srv, cl := serveWorld(t, w)
+	release := make(chan struct{})
+	srv.verify = func(*pf.Program) error { <-release; return nil }
+	_, err := cl.Apply("late.pft", []string{
+		`pftables -A input -s httpd_t -d shadow_t -o FILE_OPEN -j DROP`,
+	}, time.Millisecond)
+	close(release)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("apply held past its timeout: %v, want ErrTimeout", err)
+	}
+	if resp, err := cl.Do(Request{Op: "nonsense"}, 0); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("call after a timeout: ok=%v rules=%d err=%q, %v; want a failure wrapping ErrTimeout",
+			resp.OK, resp.Rules, resp.Err, err)
+	}
 }

@@ -23,6 +23,7 @@ package ustack
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -45,6 +46,11 @@ const MaxFrames = 64
 type Memory struct {
 	words []uint64
 	gen   uint64
+	// dirty has bit i set once a Write lands in page i, words
+	// [i<<pageShift, (i+1)<<pageShift): the memory is split into at most 64
+	// pages, so one word tracks every page a process touched.
+	dirty     uint64
+	pageShift uint8
 }
 
 // Gen returns the memory's mutation generation. It changes on every Write,
@@ -53,20 +59,35 @@ type Memory struct {
 // chain — invalidates the cache.
 func (m *Memory) Gen() uint64 { return m.gen }
 
-// NewMemory allocates user memory of n words, reusing recycled address
-// spaces of the same size when available (process exit returns them via
-// Recycle), the way a kernel reuses page frames instead of demanding fresh
-// zeroed memory from nowhere.
+// NewMemory allocates zeroed user memory of n words, reusing recycled
+// address spaces of the same size when available (process exit returns
+// them via Recycle), the way a kernel reuses page frames instead of
+// demanding fresh zeroed memory from nowhere. A recycled buffer is zeroed
+// by clearing only the pages its previous owner wrote.
 func NewMemory(n int) *Memory {
 	if v := memPool.Get(); v != nil {
 		m := v.(*Memory)
 		if len(m.words) == n {
-			clear(m.words)
+			m.clearDirty()
 			return m
 		}
 		// Wrong size: drop it and fall through.
 	}
-	return &Memory{words: make([]uint64, n)}
+	shift := uint8(0)
+	for n > 64<<shift {
+		shift++
+	}
+	return &Memory{words: make([]uint64, n), pageShift: shift}
+}
+
+// clearDirty zeroes every page a Write has touched and empties the mask,
+// leaving the whole buffer zero.
+func (m *Memory) clearDirty() {
+	for d := m.dirty; d != 0; d &= d - 1 {
+		lo := bits.TrailingZeros64(d) << m.pageShift
+		clear(m.words[lo:min(lo+1<<m.pageShift, len(m.words))])
+	}
+	m.dirty = 0
 }
 
 // memPool recycles Memory buffers across process lifetimes.
@@ -99,6 +120,7 @@ func (m *Memory) Write(addr, val uint64) error {
 		return fmt.Errorf("%w: %#x", ErrBadAddress, addr)
 	}
 	m.words[addr] = val
+	m.dirty |= 1 << (addr >> m.pageShift)
 	m.gen++
 	return nil
 }
