@@ -578,14 +578,8 @@ func runCheck(out io.Writer, w *programs.World, name string, lines []string, sym
 // every definite violation's witness in a fresh world so the finding is
 // backed by a concrete denied-or-allowed request, not just the abstraction.
 func runVerify(out io.Writer, w *programs.World, gw *worldgen.World, name string, lines []string, invFile string) error {
-	for n, line := range lines {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if _, err := pftables.InstallAt(w.Env, w.Engine, line, pf.Pos{File: name, Line: n + 1}); err != nil {
-			return fmt.Errorf("%s\n  -> %w", line, err)
-		}
+	if _, err := pftables.InstallAllFrom(w.Env, w.Engine, name, lines); err != nil {
+		return err
 	}
 	invName, invSrc := invFile, ""
 	switch {

@@ -1,6 +1,10 @@
 package pf
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // --- Match modules -----------------------------------------------------
 
@@ -408,5 +412,10 @@ func (t *LogTarget) Args() string {
 	if t.Prefix == "" {
 		return ""
 	}
-	return fmt.Sprintf("--prefix %q", t.Prefix)
+	// A Go string literal, with the space and single quote that pftables'
+	// tokenizer splits on or strips escaped too, so it reads back as one
+	// token.
+	return "--prefix " + prefixEscaper.Replace(strconv.Quote(t.Prefix))
 }
+
+var prefixEscaper = strings.NewReplacer(" ", `\x20`, "'", `\x27`)

@@ -253,7 +253,7 @@ func (tx *Tx) Remove(chain string, match func(*Rule) bool) error {
 		return err
 	}
 	if n == 0 {
-		return fmt.Errorf("pf: no matching rule in %q", chain)
+		return fmt.Errorf("pf: no rule in chain %q matches", chain)
 	}
 	return nil
 }
@@ -350,7 +350,7 @@ func (tx *Tx) FlushChain(chain string) error {
 // NewChain creates a user-defined chain.
 func (tx *Tx) NewChain(name string) error {
 	if _, ok := tx.rs.chains[name]; ok {
-		return fmt.Errorf("pf: chain %q exists", name)
+		return fmt.Errorf("pf: chain %q already exists", name)
 	}
 	tx.rs.chains[name] = newChain(name)
 	tx.owned[name] = true

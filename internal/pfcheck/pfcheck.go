@@ -1,7 +1,7 @@
-// Package pfcheck is the pftables static analyzer: it parses a ruleset
-// without installing it, rebuilds the chain layout the engine would end up
-// with, and layers three kinds of semantic findings on top of the pf
-// package's reachability analysis (DESIGN.md §8):
+// Package pfcheck is the pftables static analyzer: it replays a ruleset
+// through pftables.Apply on a scratch engine, so it analyzes exactly the
+// chains an install would publish, and layers three kinds of semantic
+// findings on top of the pf package's reachability analysis (DESIGN.md §8):
 //
 //   - shadowing / unreachability: rules the per-field match-space lattice
 //     proves can never fire (first-match shadowing, empty sets, op-context
@@ -217,131 +217,38 @@ func (r *Report) dedupe() {
 	r.Findings = out
 }
 
-// engineBuiltins are the chains a fresh engine actually has. Note the
-// asymmetry with the pftables grammar: pftables accepts "output" as a
-// built-in chain name, but the engine never creates one (no resource
-// access is mediated on an output path), so installing into it fails.
-var engineBuiltins = map[string]bool{
-	"input": true, "syscallbegin": true, "mangle/input": true,
-}
-
-// chainModel mirrors one engine chain while the source is replayed.
-type chainModel struct {
-	declared bool // created by an explicit -N
-	rules    []*pf.Rule
-}
-
-// Analyze parses and analyzes a ruleset without touching an engine. The
-// lines are replayed against a model of the engine's chain layout with
-// Install's exact semantics (auto-created chains, mangle prefixing, -D by
-// rendering), then the assembled chains go through pf.AnalyzeChains and
-// every result is translated into a positioned finding.
+// Analyze parses and analyzes a ruleset without touching the live engine.
+// The lines are replayed through pftables.Apply, the code every install
+// runs, in one transaction on a scratch engine; a command that fails to
+// apply becomes an install finding and the replay goes on. The chains the
+// replay leaves then go through pf.AnalyzeChains, and every result is
+// translated into a positioned finding.
 func Analyze(env *pftables.Env, file string, lines []string, sym *Symbols) *Report {
 	if sym == nil {
 		sym = &Symbols{}
 	}
-	known := sym.KnownLabel
-	if known == nil && env.Policy != nil {
-		known = LabelSnapshot(env.Policy)
+	if sym.KnownLabel == nil && env.Policy != nil {
+		s := *sym
+		s.KnownLabel = LabelSnapshot(env.Policy)
+		sym = &s
 	}
 	rep := &Report{File: file}
-	tbl := env.Policy.SIDs()
-
-	model := map[string]*chainModel{}
-	for name := range engineBuiltins {
-		model[name] = &chainModel{}
-	}
-	ensure := func(name string) *chainModel {
-		if c, ok := model[name]; ok {
-			return c
-		}
-		c := &chainModel{}
-		model[name] = c
-		return c
-	}
-
-	for i, line := range lines {
-		pos := pf.Pos{File: file, Line: i + 1}
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		cmd, err := pftables.ParseAt(env, line, pos)
-		if err != nil {
-			var pe *pftables.Error
-			if errors.As(err, &pe) {
-				rep.add(SevError, CodeParse, pe.Pos, "%v", pe.Err)
-			} else {
-				rep.add(SevError, CodeParse, pos, "%v", err)
-			}
-			continue
-		}
-
-		if cmd.NewChainName != "" {
-			if _, exists := model[cmd.NewChainName]; exists {
-				rep.add(SevError, CodeInstall, pos, "chain %q already exists", cmd.NewChainName)
-				continue
-			}
-			model[cmd.NewChainName] = &chainModel{declared: true}
-			continue
-		}
-
-		chain := cmd.Chain
-		if cmd.Table == "mangle" {
-			chain = "mangle/" + chain
-		}
-		// The grammar's "output" chain has no engine counterpart: the
-		// pftables installer would skip auto-creation (it is nominally
-		// built-in) and the engine append would then fail.
-		if chain == "output" {
-			rep.add(SevError, CodeInstall, pos, "chain \"output\" exists in the grammar but not in the engine; installing this rule would fail")
-			continue
-		}
-		c := ensure(chain)
-		if jt, ok := cmd.Rule.Target.(*pf.JumpTarget); ok {
-			if jt.ChainName == "output" {
-				rep.add(SevError, CodeInstall, pos, "jump to chain \"output\", which the engine never creates")
-				continue
-			}
-			ensure(jt.ChainName)
-		}
-		switch cmd.Action {
-		case 'I':
-			c.rules = append([]*pf.Rule{cmd.Rule}, c.rules...)
-			rep.Rules++
-		case 'A':
-			c.rules = append(c.rules, cmd.Rule)
-			rep.Rules++
-		case 'D':
-			if !modelDelete(c, cmd.Rule, tbl) {
-				rep.add(SevError, CodeInstall, pos, "delete: no rule in chain %q matches", chain)
-			}
-			continue
-		}
-		symbolFindings(rep, cmd.Rule, sym, known, tbl)
-	}
-	rep.Chains = len(model)
-
-	chains := make(map[string]*pf.Chain, len(model))
-	for name, c := range model {
-		chains[name] = &pf.Chain{Name: name, Rules: c.rules}
-	}
-	analysisFindings(rep, pf.AnalyzeChains(chains), chains, file)
+	chains, declared := replay(env, file, lines, rep)
+	rep.analyze(env.Policy.SIDs(), chains, sym, file)
 
 	// Jumps into empty chains: the traversal is a no-op. When the target
 	// chain was never even declared, the name is almost certainly a typo
 	// that the installer's auto-creation silently absorbed.
-	for _, name := range sortedNames(model) {
-		for _, r := range model[name].rules {
+	for _, c := range chains {
+		for _, r := range c.Rules {
 			jt, ok := r.Target.(*pf.JumpTarget)
 			if !ok {
 				continue
 			}
-			tgt := model[jt.ChainName]
-			if tgt == nil || len(tgt.rules) > 0 || engineBuiltins[jt.ChainName] {
+			if len(chains[jt.ChainName].Rules) > 0 {
 				continue
 			}
-			if tgt.declared {
+			if declared[jt.ChainName] {
 				rep.add(SevInfo, CodeEmptyJump, r.Src, "jump to declared chain %q, which holds no rules", jt.ChainName)
 			} else {
 				rep.add(SevWarning, CodeEmptyJump, r.Src, "jump to chain %q, which holds no rules and was never declared with -N — possible chain-name typo", jt.ChainName)
@@ -354,18 +261,53 @@ func Analyze(env *pftables.Env, file string, lines []string, sym *Symbols) *Repo
 	return rep
 }
 
+// replay applies lines to a scratch engine the way ApplyAllFrom would,
+// except that a line which fails to parse or apply is reported to rep and
+// skipped. It returns the chains the engine holds afterwards and the names
+// of the chains an explicit -N created; rep.Rules counts the -I and -A
+// commands applied.
+func replay(env *pftables.Env, file string, lines []string, rep *Report) (map[string]*pf.Chain, map[string]bool) {
+	declared := map[string]bool{}
+	e := pf.New(env.Policy, pf.Config{})
+	// The callback never fails, so neither does the commit.
+	_ = e.Transaction(func(tx *pf.Tx) error {
+		for i, line := range lines {
+			pos := pf.Pos{File: file, Line: i + 1}
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			cmd, err := pftables.ParseAt(env, line, pos)
+			if err != nil {
+				var pe *pftables.Error
+				if errors.As(err, &pe) {
+					pos, err = pe.Pos, pe.Err
+				}
+				rep.add(SevError, CodeParse, pos, "%v", err)
+				continue
+			}
+			if err := pftables.Apply(env, tx, cmd); err != nil {
+				rep.add(SevError, CodeInstall, pos, "%v", err)
+				continue
+			}
+			switch {
+			case cmd.NewChainName != "":
+				declared[cmd.NewChainName] = true
+			case cmd.Action == 'I' || cmd.Action == 'A':
+				rep.Rules++
+			}
+		}
+		return nil
+	})
+	return e.Program().Chains(), declared
+}
+
 // AnalyzeEngine runs the semantic analysis over an engine's installed
 // ruleset (the load-time variant: rules carry positions when they were
 // installed through InstallAt). Source-only checks — parse errors, install
 // failures, empty-jump heuristics — do not apply here.
 func AnalyzeEngine(e *pf.Engine, sym *Symbols) *Report {
-	chains := make(map[string]*pf.Chain)
-	for _, name := range e.Chains() {
-		if c, ok := e.Chain(name); ok {
-			chains[name] = c
-		}
-	}
-	return AnalyzeRuleset(e.Policy().SIDs(), chains, sym)
+	return AnalyzeRuleset(e.Policy().SIDs(), e.Program().Chains(), sym)
 }
 
 // AnalyzeRuleset is AnalyzeEngine over a bare chain map, for callers that
@@ -378,28 +320,23 @@ func AnalyzeRuleset(tbl *mac.SIDTable, chains map[string]*pf.Chain, sym *Symbols
 	rep := &Report{}
 	for _, c := range chains {
 		rep.Rules += len(c.Rules)
-		for _, r := range c.Rules {
-			symbolFindings(rep, r, sym, sym.KnownLabel, tbl)
-		}
 	}
-	rep.Chains = len(chains)
-	analysisFindings(rep, pf.AnalyzeChains(chains), chains, "")
+	rep.analyze(tbl, chains, sym, "")
 	rep.sortFindings()
 	rep.dedupe()
 	return rep
 }
 
-// modelDelete mirrors pftables.deleteRule: remove the first rule whose
-// rendering matches.
-func modelDelete(c *chainModel, want *pf.Rule, tbl *mac.SIDTable) bool {
-	ws := want.String(tbl)
-	for i, r := range c.rules {
-		if r.String(tbl) == ws {
-			c.rules = append(c.rules[:i:i], c.rules[i+1:]...)
-			return true
+// analyze adds the findings every analysis shares: symbol validation of
+// each rule and the translated pf.AnalyzeChains results.
+func (r *Report) analyze(tbl *mac.SIDTable, chains map[string]*pf.Chain, sym *Symbols, file string) {
+	for _, c := range chains {
+		for _, rule := range c.Rules {
+			symbolFindings(r, rule, sym, tbl)
 		}
 	}
-	return false
+	r.Chains = len(chains)
+	analysisFindings(r, pf.AnalyzeChains(chains), chains, file)
 }
 
 // analysisFindings translates a pf.RulesetAnalysis into findings.
@@ -516,9 +453,9 @@ func CycleJumps(chains map[string]*pf.Chain, file string) []Finding {
 
 // symbolFindings validates one rule's labels, program, and entrypoint
 // against the registries.
-func symbolFindings(rep *Report, r *pf.Rule, sym *Symbols, known func(mac.Label) bool, tbl *mac.SIDTable) {
+func symbolFindings(rep *Report, r *pf.Rule, sym *Symbols, tbl *mac.SIDTable) {
 	pos := r.Src
-	if known != nil {
+	if known := sym.KnownLabel; known != nil {
 		for _, set := range []*pf.SIDSet{r.Subject, r.Object} {
 			if set == nil {
 				continue
@@ -581,13 +518,4 @@ func isTerminal(r *pf.Rule) bool {
 		return true
 	}
 	return false
-}
-
-func sortedNames(model map[string]*chainModel) []string {
-	names := make([]string, 0, len(model))
-	for n := range model {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

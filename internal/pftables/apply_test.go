@@ -172,7 +172,7 @@ func TestApplyAllFromAtomicOnError(t *testing.T) {
 	ver0 := engine.Version()
 
 	// A flush+reinstall batch with a bad line must leave the engine
-	// untouched — unlike InstallAll, which installs up to the bad line.
+	// untouched.
 	n, err := ApplyAllFrom(env, engine, "reload.pft", []string{
 		`pftables -F`,
 		`pftables -A input -s user_t -o FILE_OPEN -j DROP`,

@@ -22,6 +22,7 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"pfirewall/internal/ipc"
 	"pfirewall/internal/mac"
@@ -182,12 +183,28 @@ func parseLine(env *Env, line string) (cmd *Cmd, errCol int, err error) {
 	// Columns of flags whose validity is only known once the whole line has
 	// been scanned; the end-of-parse checks cite them instead of column 0.
 	rCol, tagCol := 0, 0
+	i := 0
 
 	next := func(i int, opt string) (string, error) {
 		if i+1 >= len(toks) {
 			return "", fmt.Errorf("pftables: %s requires an argument", opt)
 		}
 		return toks[i+1].text, nil
+	}
+	// chainOperand consumes the optional chain operand after toks[i].
+	chainOperand := func() error {
+		if i+1 >= len(toks) || strings.HasPrefix(toks[i+1].text, "-") {
+			i++
+			return nil
+		}
+		name, err := chainName(toks[i+1].text)
+		if err != nil {
+			errCol = toks[i+1].col
+			return err
+		}
+		cmd.Chain = name
+		i += 2
+		return nil
 	}
 	texts := func(from int) []string {
 		out := make([]string, 0, len(toks)-from)
@@ -197,7 +214,6 @@ func parseLine(env *Env, line string) (cmd *Cmd, errCol int, err error) {
 		return out
 	}
 
-	i := 0
 	for i < len(toks) {
 		errCol = toks[i].col
 		t := toks[i].text
@@ -214,23 +230,16 @@ func parseLine(env *Env, line string) (cmd *Cmd, errCol int, err error) {
 			i += 2
 		case "-I", "-A", "-D":
 			cmd.Action = t[1]
-			// Optional chain operand follows.
-			if i+1 < len(toks) && !strings.HasPrefix(toks[i+1].text, "-") {
-				cmd.Chain = normalizeChain(toks[i+1].text)
-				i += 2
-			} else {
-				i++
+			if err := chainOperand(); err != nil {
+				return nil, errCol, err
 			}
 		case "-R":
 			// Replace-by-position: -R chain N rule_spec (1-based, like
 			// iptables -R). The position operand is required.
 			cmd.Action = 'R'
 			rCol = errCol
-			if i+1 < len(toks) && !strings.HasPrefix(toks[i+1].text, "-") {
-				cmd.Chain = normalizeChain(toks[i+1].text)
-				i += 2
-			} else {
-				i++
+			if err := chainOperand(); err != nil {
+				return nil, errCol, err
 			}
 			if i < len(toks) && !strings.HasPrefix(toks[i].text, "-") {
 				errCol = toks[i].col
@@ -245,11 +254,8 @@ func parseLine(env *Env, line string) (cmd *Cmd, errCol int, err error) {
 			// Flush: -F [chain]; without a chain every chain is emptied.
 			cmd.Action = 'F'
 			cmd.Chain = ""
-			if i+1 < len(toks) && !strings.HasPrefix(toks[i+1].text, "-") {
-				cmd.Chain = normalizeChain(toks[i+1].text)
-				i += 2
-			} else {
-				i++
+			if err := chainOperand(); err != nil {
+				return nil, errCol, err
 			}
 		case "--tag":
 			tagCol = errCol
@@ -264,7 +270,9 @@ func parseLine(env *Env, line string) (cmd *Cmd, errCol int, err error) {
 			if err != nil {
 				return nil, errCol, err
 			}
-			cmd.NewChainName = normalizeChain(v)
+			if cmd.NewChainName, err = chainName(v); err != nil {
+				return nil, toks[i+1].col, err
+			}
 			i += 2
 		case "-s":
 			v, err := next(i, t)
@@ -375,10 +383,15 @@ func parseLine(env *Env, line string) (cmd *Cmd, errCol int, err error) {
 			if err != nil {
 				return nil, errCol, err
 			}
-			if j, ok := tg.(*pf.JumpTarget); ok && builtinChains[j.ChainName] {
-				// Like iptables: requests enter built-in chains only at
-				// their hooks, so a jump must name a user chain.
-				return nil, toks[i+1].col, fmt.Errorf("pftables: cannot jump to built-in chain %q", name)
+			if j, ok := tg.(*pf.JumpTarget); ok {
+				if j.ChainName, err = chainName(name); err != nil {
+					return nil, toks[i+1].col, err
+				}
+				if builtinChains[j.ChainName] {
+					// Like iptables: requests enter built-in chains only at
+					// their hooks, so a jump must name a user chain.
+					return nil, toks[i+1].col, fmt.Errorf("pftables: cannot jump to built-in chain %q", name)
+				}
 			}
 			cmd.Rule.Target = tg
 			i += 2 + n
@@ -415,6 +428,18 @@ func normalizeChain(name string) string {
 	return n
 }
 
+// chainName normalizes a chain operand and rejects one that normalizes to
+// nothing ("x/"), to a flag ("x/-j") or to a name holding whitespace: no
+// command could name that chain again, and a jump to it would render as a
+// line that does not parse back.
+func chainName(s string) (string, error) {
+	n := normalizeChain(s)
+	if n == "" || strings.HasPrefix(n, "-") || strings.ContainsFunc(n, unicode.IsSpace) {
+		return "", fmt.Errorf("pftables: bad chain name %q", s)
+	}
+	return n, nil
+}
+
 // parseSIDSet handles "label", "~{a|b|c}", "{a|b}", "SYSHIGH", "~{SYSHIGH}".
 func parseSIDSet(env *Env, s string) (*pf.SIDSet, error) {
 	negate := strings.HasPrefix(s, "~")
@@ -427,13 +452,20 @@ func parseSIDSet(env *Env, s string) (*pf.SIDSet, error) {
 	var sids []mac.SID
 	for _, name := range strings.Split(body, "|") {
 		name = strings.TrimSpace(name)
-		if name == "SYSHIGH" {
+		switch name {
+		case "":
+			return nil, fmt.Errorf("pftables: empty label in set %q", s)
+		case "SYSHIGH":
 			// The TCB keyword expands to every trusted label at install
 			// time (paper Section 5.2).
 			sids = append(sids, env.Policy.TrustedSet()...)
-			continue
+		default:
+			sids = append(sids, env.Policy.SIDs().SID(mac.Label(name)))
 		}
-		sids = append(sids, env.Policy.SIDs().SID(mac.Label(name)))
+	}
+	if len(sids) == 0 {
+		// SYSHIGH over a policy that trusts no label.
+		return nil, fmt.Errorf("pftables: label set %q is empty: the policy trusts no label", s)
 	}
 	return pf.NewSIDSet(negate, sids...), nil
 }
@@ -563,9 +595,11 @@ func parseMatch(env *Env, name string, toks []string) (pf.Match, int, error) {
 				if i+1 >= len(toks) {
 					return nil, 0, fmt.Errorf("pftables: SYSCALL_ARGS --arg needs a value")
 				}
+				// Slot 0 is the syscall number; a request carries at most
+				// 8 argument words (pf.Request.SetArgs).
 				v, err := parseUint(toks[i+1])
-				if err != nil {
-					return nil, 0, err
+				if err != nil || v > 8 {
+					return nil, 0, fmt.Errorf("pftables: SYSCALL_ARGS: bad --arg %q (0-8)", toks[i+1])
 				}
 				m.Arg = int(v)
 				i += 2
@@ -738,15 +772,19 @@ func parseTarget(env *Env, name string, toks []string) (pf.Target, int, error) {
 		return &pf.ReturnTarget{}, 0, nil
 	case "LOG":
 		t := &pf.LogTarget{}
-		i := 0
-		if i+1 < len(toks)+1 && i < len(toks) && toks[i] == "--prefix" {
-			if i+1 >= len(toks) {
-				return nil, 0, fmt.Errorf("pftables: LOG --prefix needs a value")
-			}
-			t.Prefix = strings.Trim(toks[i+1], `"`)
-			i += 2
+		if len(toks) == 0 || toks[0] != "--prefix" {
+			return t, 0, nil
 		}
-		return t, i, nil
+		if len(toks) < 2 {
+			return nil, 0, fmt.Errorf("pftables: LOG --prefix needs a value")
+		}
+		// Rule.String renders the prefix as a Go string literal, so its
+		// escapes decode; a bare word keeps only its double quotes trimmed.
+		t.Prefix = strings.Trim(toks[1], `"`)
+		if u, err := strconv.Unquote(toks[1]); err == nil && strings.HasPrefix(toks[1], `"`) {
+			t.Prefix = u
+		}
+		return t, 2, nil
 	case "STATE":
 		t := &pf.StateTarget{}
 		i := 0
@@ -783,16 +821,17 @@ func parseTarget(env *Env, name string, toks []string) (pf.Target, int, error) {
 		}
 		return t, i, nil
 	default:
-		// Any other name is a jump to a user chain (e.g. SIGNAL_CHAIN).
+		// Any other name is a jump to a user chain (e.g. SIGNAL_CHAIN),
+		// which the caller normalizes.
 		if strings.HasPrefix(name, "-") {
 			return nil, 0, fmt.Errorf("pftables: bad target %q", name)
 		}
-		return &pf.JumpTarget{ChainName: normalizeChain(name)}, 0, nil
+		return &pf.JumpTarget{ChainName: name}, 0, nil
 	}
 }
 
-// Install parses line and installs the resulting rule into engine,
-// creating referenced user chains on demand. It returns the parsed Cmd.
+// Install parses line and applies it to engine as one transaction (see
+// Apply). It returns the parsed Cmd.
 func Install(env *Env, engine *pf.Engine, line string) (*Cmd, error) {
 	return InstallAt(env, engine, line, pf.Pos{})
 }
@@ -804,75 +843,10 @@ func InstallAt(env *Env, engine *pf.Engine, line string, pos pf.Pos) (*Cmd, erro
 	if err != nil {
 		return nil, err
 	}
-	if cmd.NewChainName != "" {
-		if err := engine.NewChain(cmd.NewChainName); err != nil {
-			return nil, err
-		}
-		return cmd, nil
-	}
-	// Mangle-table rules live in a prefixed chain namespace so the engine
-	// can run them ahead of the filter table.
-	if cmd.Table == "mangle" && cmd.Chain != "" {
-		cmd.Chain = "mangle/" + cmd.Chain
-	}
-	// Auto-create the destination chain and any jump-target chain, so rule
-	// files don't need explicit -N lines (matching the paper's listings).
-	ensure := func(name string) {
-		if name != "" && !builtinChains[name] {
-			if _, ok := engine.Chain(name); !ok {
-				engine.NewChain(name)
-			}
-		}
-	}
-	ensure(cmd.Chain)
-	if j, ok := cmd.Rule.Target.(*pf.JumpTarget); ok {
-		ensure(j.ChainName)
-	}
-	switch {
-	case cmd.Action == 'I':
-		err = engine.Insert(cmd.Chain, cmd.Rule)
-	case cmd.Action == 'A':
-		err = engine.Append(cmd.Chain, cmd.Rule)
-	case cmd.Action == 'D' && cmd.Tag != "":
-		err = engine.Transaction(func(tx *pf.Tx) error {
-			_, err := tx.RemoveAll(cmd.Chain, func(r *pf.Rule) bool { return r.Src.File == cmd.Tag })
-			return err
-		})
-	case cmd.Action == 'D':
-		err = deleteRule(engine, cmd)
-	case cmd.Action == 'R':
-		err = engine.Transaction(func(tx *pf.Tx) error {
-			return tx.ReplaceAt(cmd.Chain, cmd.RulePos-1, cmd.Rule)
-		})
-	case cmd.Action == 'F':
-		err = engine.Transaction(func(tx *pf.Tx) error {
-			if cmd.Chain == "" {
-				tx.Flush()
-				return nil
-			}
-			return tx.FlushChain(cmd.Chain)
-		})
-	default:
-		err = fmt.Errorf("pftables: unknown action %q", cmd.Action)
-	}
-	if err != nil {
-		if pos.IsSet() {
-			return nil, &Error{Pos: pos, Err: err}
-		}
-		return nil, err
+	if err := engine.Transaction(func(tx *pf.Tx) error { return Apply(env, tx, cmd) }); err != nil {
+		return nil, cmd.errorAt(err)
 	}
 	return cmd, nil
-}
-
-// deleteRule removes the first rule in the chain whose rendering matches.
-func deleteRule(engine *pf.Engine, cmd *Cmd) error {
-	want := cmd.Rule.String(engine.Policy().SIDs())
-	if err := engine.Remove(cmd.Chain, func(r *pf.Rule) bool {
-		return r.String(engine.Policy().SIDs()) == want
-	}); err != nil {
-		return fmt.Errorf("pftables: delete: %w", err)
-	}
-	return nil
 }
 
 // Save renders the engine's entire rule base as pftables command lines
@@ -907,39 +881,27 @@ func Save(engine *pf.Engine) []string {
 	return out
 }
 
-// InstallAll installs every non-empty, non-comment line, returning the
-// number of rules installed. Errors carry the 1-based line number of the
-// offending line.
+// InstallAll applies every non-empty, non-comment line as one transaction
+// (see ApplyAllFrom), returning the number of commands applied. Errors
+// carry the 1-based line number of the offending line.
 func InstallAll(env *Env, engine *pf.Engine, lines []string) (int, error) {
-	return InstallAllFrom(env, engine, "", lines)
+	return ApplyAllFrom(env, engine, "", lines)
 }
 
 // InstallAllFrom is InstallAll with a source name: each rule's recorded
 // position carries src as its file, so provenance spans and analyzer
 // findings can name where a generated rule base came from.
 func InstallAllFrom(env *Env, engine *pf.Engine, src string, lines []string) (int, error) {
-	n := 0
-	for i, line := range lines {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if _, err := InstallAt(env, engine, line, pf.Pos{File: src, Line: i + 1}); err != nil {
-			return n, fmt.Errorf("%q: %w", line, err)
-		}
-		n++
-	}
-	return n, nil
+	return ApplyAllFrom(env, engine, src, lines)
 }
 
 // ApplyAllFrom parses every non-empty, non-comment line and applies the
 // whole batch as ONE engine transaction: one publish, one generation bump,
-// one program derivation. Unlike InstallAll — which publishes per
-// line and stops mid-file on error — this is all-or-nothing: on any parse
-// or apply error nothing is installed, and the mediation path never
-// observes a partially applied batch. A "-F" line followed by rule lines
-// is therefore an atomic hitless reload: traffic sees the old ruleset
-// until the instant the fully rebuilt one lands.
+// one program derivation. It is all-or-nothing: on any parse or apply
+// error nothing is installed, and the mediation path never observes a
+// partially applied batch. A "-F" line followed by rule lines is therefore
+// an atomic hitless reload: traffic sees the old ruleset until the instant
+// the fully rebuilt one lands.
 func ApplyAllFrom(env *Env, engine *pf.Engine, src string, lines []string) (int, error) {
 	return ApplyAllGated(env, engine, src, lines, nil)
 }
@@ -962,28 +924,27 @@ func ApplyAllGated(env *Env, engine *pf.Engine, src string, lines []string, gate
 		}
 		cmds = append(cmds, cmd)
 	}
-	n := 0
 	err := engine.TransactionGated(func(tx *pf.Tx) error {
 		for _, cmd := range cmds {
-			if err := applyCmd(tx, engine, cmd); err != nil {
-				if cmd.Pos.IsSet() {
-					return &Error{Pos: cmd.Pos, Err: err}
-				}
-				return err
+			if err := Apply(env, tx, cmd); err != nil {
+				return cmd.errorAt(err)
 			}
-			n++
 		}
 		return nil
 	}, gate)
 	if err != nil {
 		return 0, err
 	}
-	return n, nil
+	return len(cmds), nil
 }
 
-// applyCmd applies one parsed command to an open transaction, mirroring
-// InstallAt's per-action dispatch (including chain auto-creation).
-func applyCmd(tx *pf.Tx, engine *pf.Engine, cmd *Cmd) error {
+// Apply applies one parsed command to an open transaction. It is the one
+// place a pftables command turns into rule-base changes: Install, the batch
+// applies and pfcheck's replay all run it. The chains a rule names, its own
+// and a jump target, are created on demand, so rule files need no -N lines
+// (matching the paper's listings); mangle-table chains live under a
+// "mangle/" prefix so the engine can run them ahead of the filter table.
+func Apply(env *Env, tx *pf.Tx, cmd *Cmd) error {
 	if cmd.NewChainName != "" {
 		return tx.NewChain(cmd.NewChainName)
 	}
@@ -991,22 +952,14 @@ func applyCmd(tx *pf.Tx, engine *pf.Engine, cmd *Cmd) error {
 	if cmd.Table == "mangle" && chain != "" {
 		chain = "mangle/" + chain
 	}
-	ensure := func(name string) error {
-		if name == "" || builtinChains[name] {
-			return nil
+	ensure := func(name string) {
+		if _, ok := tx.Chain(name); !ok && name != "" && !builtinChains[name] {
+			_ = tx.NewChain(name) // cannot fail: no chain has the name
 		}
-		if _, ok := tx.Chain(name); !ok {
-			return tx.NewChain(name)
-		}
-		return nil
 	}
-	if err := ensure(chain); err != nil {
-		return err
-	}
+	ensure(chain)
 	if j, ok := cmd.Rule.Target.(*pf.JumpTarget); ok {
-		if err := ensure(j.ChainName); err != nil {
-			return err
-		}
+		ensure(j.ChainName)
 	}
 	switch {
 	case cmd.Action == 'I':
@@ -1017,10 +970,9 @@ func applyCmd(tx *pf.Tx, engine *pf.Engine, cmd *Cmd) error {
 		_, err := tx.RemoveAll(chain, func(r *pf.Rule) bool { return r.Src.File == cmd.Tag })
 		return err
 	case cmd.Action == 'D':
-		want := cmd.Rule.String(engine.Policy().SIDs())
-		return tx.Remove(chain, func(r *pf.Rule) bool {
-			return r.String(engine.Policy().SIDs()) == want
-		})
+		tbl := env.Policy.SIDs()
+		want := cmd.Rule.String(tbl)
+		return tx.Remove(chain, func(r *pf.Rule) bool { return r.String(tbl) == want })
 	case cmd.Action == 'R':
 		return tx.ReplaceAt(chain, cmd.RulePos-1, cmd.Rule)
 	case cmd.Action == 'F':
@@ -1031,4 +983,13 @@ func applyCmd(tx *pf.Tx, engine *pf.Engine, cmd *Cmd) error {
 		return tx.FlushChain(chain)
 	}
 	return fmt.Errorf("pftables: unknown action %q", cmd.Action)
+}
+
+// errorAt attaches the command's source position, when it has one, to an
+// error applying it.
+func (cmd *Cmd) errorAt(err error) error {
+	if cmd.Pos.IsSet() {
+		return &Error{Pos: cmd.Pos, Err: err}
+	}
+	return err
 }

@@ -518,3 +518,85 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestBadChainNameRejected: a chain operand or jump target that normalizes
+// to nothing, to a flag, or to a name holding whitespace is rejected at its
+// own column. Accepted, it would make a chain no later command can name,
+// and a jump to it would render as a line that does not parse.
+func TestBadChainNameRejected(t *testing.T) {
+	env := testEnv()
+	for _, tc := range []struct {
+		line string
+		col  int
+	}{
+		{`pftables -A input -o FILE_OPEN -j DRO/`, 35},
+		{`pftables -A x/ -o FILE_OPEN -j DROP`, 13},
+		{`pftables -N a/`, 13},
+		{`pftables -F x/-j`, 13},
+		{`pftables -R 'a b' 1 -j DROP`, 13},
+	} {
+		_, err := ParseAt(env, tc.line, pf.Pos{File: "t.pft", Line: 1})
+		perr, ok := err.(*Error)
+		if !ok || !strings.Contains(perr.Error(), "bad chain name") {
+			t.Errorf("ParseAt(%q) = %v, want a bad chain name error", tc.line, err)
+			continue
+		}
+		if perr.Pos.Col != tc.col {
+			t.Errorf("ParseAt(%q) col = %d, want %d", tc.line, perr.Pos.Col, tc.col)
+		}
+	}
+}
+
+// TestLogPrefixSurvivesSave: Save renders a LOG prefix as a Go string
+// literal and InstallAll decodes it, so backslashes, control bytes, spaces
+// and quotes come back unchanged instead of growing on every round trip.
+func TestLogPrefixSurvivesSave(t *testing.T) {
+	env := testEnv()
+	for _, line := range []string{
+		`pftables -j LOG --prefix a\b`,
+		`pftables -j LOG --prefix "tab\there"`,
+		`pftables -j LOG --prefix 'it is'`,
+		`pftables -j LOG --prefix "\x27"`,
+	} {
+		cmd, err := Parse(env, line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cmd.Rule.Target.(*pf.LogTarget).Prefix
+		engine := pf.New(env.Policy, pf.Optimized())
+		for i := 0; i < 3; i++ {
+			if _, err := InstallAll(env, engine, []string{line}); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			c, _ := engine.Chain("input")
+			if got := c.Rules[0].Target.(*pf.LogTarget).Prefix; got != want {
+				t.Fatalf("%q: prefix after %d saves = %q, want %q", line, i, got, want)
+			}
+			line = Save(engine)[0]
+			engine = pf.New(env.Policy, pf.Optimized())
+		}
+	}
+}
+
+// TestEmptyLabelSetRejected: a label set that names no label, whether by
+// an empty member or by SYSHIGH over a policy that trusts none, is a parse
+// error; it would render as "{}", which does not parse back.
+func TestEmptyLabelSetRejected(t *testing.T) {
+	untrusting := &Env{Policy: mac.NewPolicy(mac.NewSIDTable())}
+	for _, tc := range []struct {
+		env  *Env
+		line string
+	}{
+		{untrusting, `pftables -s SYSHIGH -j DROP`},
+		{untrusting, `pftables -d ~{SYSHIGH} -j DROP`},
+		{testEnv(), `pftables -s {httpd_t|} -j DROP`},
+		{testEnv(), `pftables -d | -j DROP`},
+	} {
+		if _, err := Parse(tc.env, tc.line); err == nil {
+			t.Errorf("Parse(%q) accepted a set that names no label", tc.line)
+		}
+	}
+	if _, err := Parse(testEnv(), `pftables -s SYSHIGH -j DROP`); err != nil {
+		t.Errorf("SYSHIGH over a policy with trusted labels: %v", err)
+	}
+}

@@ -107,3 +107,16 @@ func TestPathHelpersResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildPublishesOnce: the generated rule base is applied as one
+// transaction, so building a world publishes exactly one rule-base
+// snapshot however many rules it installs.
+func TestBuildPublishesOnce(t *testing.T) {
+	cfg := pf.Optimized()
+	for _, spec := range []Spec{Small, Medium} {
+		w := Build(spec, programs.WorldOpts{PF: &cfg})
+		if got := w.Engine.PublishStats().Publishes; got != 1 {
+			t.Errorf("%s: building %d rules published %d times, want 1", spec.Name, w.Stats.Rules, got)
+		}
+	}
+}
