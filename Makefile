@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPolicydLine$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/policyd
 	$(GO) test -run '^$$' -fuzz '^FuzzUnwind$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/ustack
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRule$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/pftables
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanDecode$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/obs
 
 # Ruleset gate: the pfcheck static analyzer must pass (no error-severity
 # findings) on every shipped example ruleset, the paper's Table 5 base, and

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -72,9 +73,10 @@ func (f SpanFlags) Names() []string {
 	return out
 }
 
-// SpanChainMax bounds the recorded chain path. Deeper jump chains truncate
-// (the jump depth limit in the engine is higher, but provenance keeps the
-// record fixed-size); the first SpanChainMax chains entered are kept.
+// SpanChainMax bounds the recorded chain path so the record stays
+// fixed-size: the first SpanChainMax chains a request enters are kept and
+// deeper ones dropped. The engine sets no jump-depth limit of its own; it
+// refuses to commit a jump cycle, so every path is finite, not short.
 const SpanChainMax = 4
 
 // Span is one request's provenance record. It is fixed-size — every string
@@ -147,23 +149,12 @@ func (s *Span) RuleSrc() string {
 	b := make([]byte, 0, len(s.RuleFile)+8)
 	b = append(b, s.RuleFile...)
 	b = append(b, ':')
-	b = appendInt(b, s.RuleLine)
+	b = strconv.AppendInt(b, int64(s.RuleLine), 10)
 	if s.RuleCol > 0 {
 		b = append(b, ':')
-		b = appendInt(b, s.RuleCol)
+		b = strconv.AppendInt(b, int64(s.RuleCol), 10)
 	}
 	return string(b)
-}
-
-func appendInt(b []byte, n int) []byte {
-	if n < 0 {
-		b = append(b, '-')
-		n = -n
-	}
-	if n >= 10 {
-		b = appendInt(b, n/10)
-	}
-	return append(b, byte('0'+n%10))
 }
 
 // spanJSON is the wire schema. rule_src and flag_names are derived on

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -99,6 +100,11 @@ func TestSpanRuleSrc(t *testing.T) {
 	var empty Span
 	if got := empty.RuleSrc(); got != "" {
 		t.Errorf("undecided RuleSrc = %q, want empty", got)
+	}
+	// A decoded span may carry any int: the most negative renders whole.
+	sp.RuleLine = math.MinInt64
+	if got := sp.RuleSrc(); got != "web.pft:-9223372036854775808" {
+		t.Errorf("RuleSrc of line MinInt64 = %q", got)
 	}
 }
 

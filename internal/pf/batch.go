@@ -82,15 +82,38 @@ func (b *Batch) Filter(req *Request) Verdict {
 	// allow without building evaluation context (the BASE configuration of
 	// Table 6 measures exactly this hook cost).
 	if rs.totalRules == 0 {
-		e.Stats.Requests.Add(pid, 1)
-		e.Stats.Accepts.Add(pid, 1)
 		if sp != nil {
 			sp.Flags |= obs.SpanEmptyRuleset
 		}
-		if ob != nil {
-			ob.finish(pid, req, VerdictAccept, sampled, t0, "")
+		return b.accept(req, sampled, t0, "")
+	}
+
+	slot := slotInput
+	if req.Op == OpSyscallBegin {
+		slot = slotSyscallBegin
+	}
+	start := builtinChains[slot]
+
+	// Zero-context path: a request no rule can match (the index has no
+	// candidate for it and the syscallbegin guard or the entrypoint
+	// summaries rule out the rest) enters its built-in chains and takes the
+	// default accept without an evaluation context, cursor or stack unwind.
+	// Lazy retrieval only: the eager configurations collect everything at
+	// hook entry by definition (Table 6).
+	if e.cfg.LazyCtx && rs.provablyAccepts(slot, req) {
+		if mangle := rs.builtin[slotMangle]; slot == slotInput && mangle != nil && len(mangle.chain.Rules) > 0 {
+			if sp != nil {
+				sp.PushChain(builtinChains[slotMangle])
+			}
+			b.traversed(mangle)
 		}
-		return VerdictAccept
+		if sp != nil {
+			sp.PushChain(start)
+		}
+		if ci := rs.builtin[slot]; ci != nil {
+			b.traversed(ci)
+		}
+		return b.accept(req, sampled, t0, start)
 	}
 
 	// The evaluation context is recycled through the per-process free
@@ -110,12 +133,6 @@ func (b *Batch) Filter(req *Request) Verdict {
 		// before matching begins (the "naive design" of Section 4.2).
 		ctx.Require(rs.allNeeds)
 	}
-
-	slot := slotInput
-	if req.Op == OpSyscallBegin {
-		slot = slotSyscallBegin
-	}
-	start := builtinChains[slot]
 
 	v, final := VerdictAccept, false
 	// The mangle table runs first for resource requests (it may mark state
@@ -200,6 +217,26 @@ func (b *Batch) Filter(req *Request) Verdict {
 		ob.finish(pid, req, v, sampled, t0, start)
 	}
 	return v
+}
+
+// accept ends a request that takes the default accept without a walk,
+// counting and recording it exactly as Filter's full path does. start names
+// the built-in chain it entered ("" for none).
+func (b *Batch) accept(req *Request, sampled bool, t0 int64, start string) Verdict {
+	b.e.Stats.Requests.Add(b.pid, 1)
+	b.e.Stats.Accepts.Add(b.pid, 1)
+	if b.ob != nil {
+		b.ob.finish(b.pid, req, VerdictAccept, sampled, t0, start)
+	}
+	return VerdictAccept
+}
+
+// traversed counts an entry into built-in chain ci that finds no candidate
+// to walk, as run would count it.
+func (b *Batch) traversed(ci *chainIndex) {
+	if ci.chain.Traversals != nil {
+		ci.chain.Traversals.Add(b.pid, 1)
+	}
 }
 
 // Finish releases the batch's evaluation context back to the process free

@@ -1,6 +1,7 @@
 package pf
 
 import (
+	"slices"
 	"sort"
 
 	"pfirewall/internal/mac"
@@ -133,9 +134,16 @@ type Program struct {
 	eptChains bool
 
 	// Summaries, maintained by the transaction (widened on install,
-	// recomputed on removal) except eptPrograms, which compile derives
-	// from the entrypoint keys.
+	// recomputed on removal) except eptPrograms, eptOps and nrGuard, which
+	// compile derives with the indexes.
 	eptPrograms map[string]bool
+	// eptOps[slot] has bit s set when some entrypoint key of slot holds a
+	// candidate in op bucket s. nrGuard bounds the syscall numbers the
+	// syscallbegin chain's candidates can match. With the dispatch index
+	// they let Batch.Filter accept a request no rule can match before it
+	// builds any evaluation context (provablyAccepts).
+	eptOps      [entrySlots]uint32
+	nrGuard     nrGuard
 	hasEptRules bool
 	allNeeds    CtxKind
 	totalRules  int
@@ -253,6 +261,56 @@ func (p *Program) routes(slot int, eps []Entrypoint) []*chainIndex {
 	return out
 }
 
+// nrGuard is the set of syscall numbers a syscallbegin request can match
+// through the syscallbegin chain: the N of each candidate's
+// SYSCALL_ARGS --arg 0 --equal N match, or any when some candidate has no
+// such match.
+type nrGuard struct {
+	any bool
+	nrs []uint64 // sorted, without duplicates
+}
+
+// admits reports whether a request for syscall nr passes the guard. The
+// conversion is the one SyscallArgsMatch compares with.
+func (g *nrGuard) admits(nr int) bool {
+	if g.any {
+		return true
+	}
+	_, ok := slices.BinarySearch(g.nrs, uint64(nr))
+	return ok
+}
+
+// syscallNR returns the syscall number r's first arg-0 SYSCALL_ARGS match
+// requires; ok is false when r has none and may match any syscall.
+func syscallNR(r *Rule) (nr uint64, ok bool) {
+	for _, m := range r.Matches {
+		if sm, isSys := m.(*SyscallArgsMatch); isSys && sm.Arg == 0 {
+			return sm.Equal, true
+		}
+	}
+	return 0, false
+}
+
+// provablyAccepts reports that no rule of p can match req, which enters the
+// program at built-in slot, so the request takes the default accept without
+// an evaluation context. It holds when the index's two static facts (op
+// mask, exact subject SIDs) leave mangle/input and the start chain no
+// candidate — at syscallbegin, also when the arg-0 guard excludes the
+// request's syscall number — and no entrypoint key of the slot has a
+// bucket for the op, or none can appear on the process's stack. Jumps need
+// no check of their own: a rule jumps only once it has matched.
+func (p *Program) provablyAccepts(slot int, req *Request) bool {
+	subject := req.Proc.SubjectSID()
+	if slot == slotSyscallBegin {
+		if p.nrGuard.admits(req.SyscallNR) && p.builtin[slot].hasCandidate(req.Op, subject) {
+			return false
+		}
+	} else if p.builtin[slotMangle].hasCandidate(req.Op, subject) || p.builtin[slot].hasCandidate(req.Op, subject) {
+		return false
+	}
+	return p.eptOps[slot]&(1<<opSlot(req.Op)) == 0 || !mayMatchEpt(p, req.Proc)
+}
+
 // Cursor walks one index's candidates for one request in first-match order:
 // an order-preserving merge of the exact-SID bucket and the wildcard bucket
 // of the request's op. It is a small value; copying it forks the walk.
@@ -260,13 +318,17 @@ type Cursor struct {
 	exact, wild []indexedRule
 }
 
+// opSlot returns the bucket slot that serves op.
+func opSlot(op Op) int {
+	if int(op) >= opSlots {
+		return opSlots - 1
+	}
+	return int(op)
+}
+
 // cursor opens a cursor over ci's candidates for (op, subject).
 func (ci *chainIndex) cursor(op Op, subject mac.SID) Cursor {
-	slot := int(op)
-	if slot >= opSlots {
-		slot = opSlots - 1
-	}
-	b := ci.ops[slot]
+	b := ci.ops[opSlot(op)]
 	if b == nil {
 		return Cursor{}
 	}
@@ -275,6 +337,56 @@ func (ci *chainIndex) cursor(op Op, subject mac.SID) Cursor {
 		c.exact = b.exact[i].rules
 	}
 	return c
+}
+
+// hasCandidate reports whether ci's cursor for (op, subject) would yield a
+// rule. A nil index (no such chain) has none.
+func (ci *chainIndex) hasCandidate(op Op, subject mac.SID) bool {
+	if ci == nil {
+		return false
+	}
+	c := ci.cursor(op, subject)
+	return len(c.exact) > 0 || len(c.wild) > 0
+}
+
+// opMask has bit s set for every op bucket s of ci that holds a candidate.
+func (ci *chainIndex) opMask() uint32 {
+	var m uint32
+	for s, b := range ci.ops {
+		if b != nil && (len(b.wild) > 0 || len(b.exact) > 0) {
+			m |= 1 << s
+		}
+	}
+	return m
+}
+
+// nrGuard derives the syscallbegin guard from ci, the syscallbegin chain's
+// index: a syscallbegin request consults only its SYSCALL_BEGIN bucket.
+func (ci *chainIndex) nrGuard() nrGuard {
+	var g nrGuard
+	if ci == nil || ci.ops[OpSyscallBegin] == nil {
+		return g
+	}
+	add := func(rules []indexedRule) {
+		for _, ir := range rules {
+			if nr, ok := syscallNR(ir.r); ok {
+				g.nrs = append(g.nrs, nr)
+			} else {
+				g.any = true
+			}
+		}
+	}
+	b := ci.ops[OpSyscallBegin]
+	add(b.wild)
+	for _, e := range b.exact {
+		add(e.rules)
+	}
+	if g.any {
+		return nrGuard{any: true}
+	}
+	slices.Sort(g.nrs)
+	g.nrs = slices.Compact(g.nrs)
+	return g
 }
 
 // NextRule returns the next candidate, or nil when the cursor is exhausted.
@@ -332,23 +444,33 @@ func (p *Program) compile() {
 			dst.add(indexedRule{ord: c.ordAt(i), r: r})
 		}
 	}
-	p.fillBuiltins()
-	p.deriveEptPrograms()
+	p.fillBuiltins(nil)
+	p.deriveEptSummaries()
 }
 
-// fillBuiltins points the built-in slots at their chains' indexes.
-func (p *Program) fillBuiltins() {
+// fillBuiltins points the built-in slots at their chains' indexes and
+// derives the syscallbegin guard, reusing prev's while the syscallbegin
+// index is the one prev had.
+func (p *Program) fillBuiltins(prev *Program) {
 	for slot, name := range builtinChains {
 		p.builtin[slot] = p.index[name]
 	}
+	if prev != nil && prev.builtin[slotSyscallBegin] == p.builtin[slotSyscallBegin] {
+		p.nrGuard = prev.nrGuard
+		return
+	}
+	p.nrGuard = p.builtin[slotSyscallBegin].nrGuard()
 }
 
-// deriveEptPrograms rebuilds the set of programs some entrypoint key names,
-// which mayMatchEpt consults to skip unwinding processes none can match.
-func (p *Program) deriveEptPrograms() {
+// deriveEptSummaries rebuilds the set of programs some entrypoint key
+// names, which mayMatchEpt consults to skip unwinding processes none can
+// match, and each entry slot's eptOps.
+func (p *Program) deriveEptSummaries() {
 	p.eptPrograms = make(map[string]bool, len(p.ept))
-	for k := range p.ept {
+	p.eptOps = [entrySlots]uint32{}
+	for k, ci := range p.ept {
 		p.eptPrograms[k.program] = true
+		p.eptOps[k.slot] |= ci.opMask()
 	}
 }
 
@@ -428,7 +550,7 @@ func (p *Program) patch(prev *Program, delta map[string][]ruleDelta) bool {
 		}
 		p.index[name] = ci
 	}
-	p.ept, p.eptPrograms = prev.ept, prev.eptPrograms
+	p.ept, p.eptPrograms, p.eptOps = prev.ept, prev.eptPrograms, prev.eptOps
 
 	// Group the deltas by the index they land in — their chain's own, or
 	// an entrypoint key's — then patch each index once.
@@ -475,9 +597,9 @@ func (p *Program) patch(prev *Program, delta map[string][]ruleDelta) bool {
 			p.ept[t.key] = ci
 		}
 	}
-	p.fillBuiltins()
+	p.fillBuiltins(prev)
 	if eptOwned {
-		p.deriveEptPrograms()
+		p.deriveEptSummaries()
 	}
 	return true
 }

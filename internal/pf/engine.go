@@ -90,6 +90,8 @@ func (p *Program) clone() *Program {
 		chains:      make(map[string]*Chain, len(p.chains)),
 		eptChains:   p.eptChains,
 		eptPrograms: p.eptPrograms,
+		eptOps:      p.eptOps,
+		nrGuard:     p.nrGuard,
 		hasEptRules: p.hasEptRules,
 		allNeeds:    p.allNeeds,
 		totalRules:  p.totalRules,

@@ -16,10 +16,18 @@ package pf
 // fires targets (hits, LOG, STATE) exactly as Filter does but keeps no
 // statistics, traversal counts or spans.
 func linearFilter(e *Engine, req *Request) Verdict {
+	v, _ := linearRoute(e, req)
+	return v
+}
+
+// linearRoute is linearFilter that also reports the built-in chains the
+// request entered, in order: what Filter counts as their traversals.
+func linearRoute(e *Engine, req *Request) (Verdict, []string) {
 	rs := e.rs.Load()
 	if rs.totalRules == 0 {
-		return VerdictAccept
+		return VerdictAccept, nil
 	}
+	var entered []string
 	ps := req.Proc.PFState()
 	ctx := ps.acquireCtx()
 	defer ps.releaseCtx(ctx)
@@ -34,6 +42,7 @@ func linearFilter(e *Engine, req *Request) Verdict {
 	v, final := VerdictAccept, false
 	if start == "input" {
 		if m := rs.chains["mangle/input"]; m != nil && len(m.Rules) > 0 {
+			entered = append(entered, m.Name)
 			if act := linearWalk(ctx, rs, m, false); act.Final {
 				v, final = act.Verdict, true
 			}
@@ -41,6 +50,7 @@ func linearFilter(e *Engine, req *Request) Verdict {
 	}
 	if !final {
 		if c := rs.chains[start]; c != nil {
+			entered = append(entered, c.Name)
 			if act := linearWalk(ctx, rs, c, e.cfg.EptChains); act.Final {
 				v, final = act.Verdict, true
 			}
@@ -70,7 +80,7 @@ func linearFilter(e *Engine, req *Request) Verdict {
 	if v == VerdictDrop && e.LogDenials {
 		e.emitLog(ctx, "denied", VerdictDrop)
 	}
-	return v
+	return v, entered
 }
 
 // linearWalk walks start's rule list, following jumps and returns on a

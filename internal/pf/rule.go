@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+	"unicode"
 
 	"pfirewall/internal/mac"
 )
@@ -209,17 +210,26 @@ func (r *Rule) matchesDefaults(ctx *EvalCtx) bool {
 //pflint:allow-fn — renders the full pftables rule text for -L listings and log lines; never on the accept path.
 func (r *Rule) String(tbl *mac.SIDTable) string {
 	var b strings.Builder
+	// A value holding whitespace is single-quoted so pftables' tokenizer
+	// reads it back as one token. A parsed value never holds a quote (the
+	// tokenizer strips them), so the quoting is unambiguous.
+	quote := func(s string) string {
+		if strings.ContainsFunc(s, unicode.IsSpace) {
+			return "'" + s + "'"
+		}
+		return s
+	}
 	if r.Program != "" {
-		fmt.Fprintf(&b, "-p %s ", r.Program)
+		fmt.Fprintf(&b, "-p %s ", quote(r.Program))
 	}
 	if r.EntrySet {
 		fmt.Fprintf(&b, "-i %#x ", r.Entry)
 	}
 	if r.Subject != nil {
-		fmt.Fprintf(&b, "-s %s ", r.Subject.String(tbl))
+		fmt.Fprintf(&b, "-s %s ", quote(r.Subject.String(tbl)))
 	}
 	if r.Object != nil {
-		fmt.Fprintf(&b, "-d %s ", r.Object.String(tbl))
+		fmt.Fprintf(&b, "-d %s ", quote(r.Object.String(tbl)))
 	}
 	if r.Ops != 0 {
 		var names []string

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // historyCap bounds the engine's rollback window: how many previously
@@ -34,6 +35,7 @@ type Tx struct {
 	delta     map[string][]ruleDelta
 	full      bool     // bulk change: skip deltas, full-compile at publish
 	derived   bool     // a removal may have narrowed the derived summaries
+	jumped    bool     // a jump rule was installed: check for cycles at commit
 	newChains []string // register observability after publish
 }
 
@@ -52,6 +54,11 @@ func (e *Engine) Transaction(fn func(*Tx) error) error {
 // pfcheck and the pfverify refinement check over each delta before it can
 // reach the mediation path. A vetoed compile leaves no trace: it wrote
 // nothing the live snapshot shares.
+//
+// Whatever the gate, a commit that installed or replaced a jump rule is
+// refused when the jump graph has a cycle, which would loop every request
+// routed into it (iptables likewise rejects a table with a loop). The gate
+// sees the candidate first, so it can report the cycle in its own terms.
 func (e *Engine) TransactionGated(fn func(*Tx) error, gate func(*Program) error) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -70,6 +77,11 @@ func (e *Engine) TransactionGated(fn func(*Tx) error, gate func(*Program) error)
 	if gate != nil {
 		if err := gate(tx.rs); err != nil {
 			return err
+		}
+	}
+	if tx.jumped {
+		if cyc := jumpCycle(tx.rs.chains); cyc != nil {
+			return fmt.Errorf("pf: jump cycle: %s", strings.Join(cyc, " -> "))
 		}
 	}
 	e.publishLocked(tx.rs, full)
@@ -213,6 +225,58 @@ func (tx *Tx) widen(r *Rule) {
 	if r.EntrySet {
 		rs.hasEptRules = true
 	}
+	if _, ok := r.Target.(*JumpTarget); ok {
+		tx.jumped = true
+	}
+}
+
+// jumpCycle returns a cycle of the jump graph as the chain names along it,
+// the first repeated at the end, or nil when the graph is acyclic. Chains
+// are searched in name order, so the answer is deterministic.
+func jumpCycle(chains map[string]*Chain) []string {
+	names := make([]string, 0, len(chains))
+	for n := range chains {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	const (
+		unseen = iota
+		onPath
+		done
+	)
+	state := make(map[string]int, len(chains))
+	var path []string
+	var visit func(string) []string
+	visit = func(n string) []string {
+		state[n] = onPath
+		path = append(path, n)
+		for _, r := range chains[n].Rules {
+			j, ok := r.Target.(*JumpTarget)
+			if !ok || chains[j.ChainName] == nil {
+				continue
+			}
+			switch state[j.ChainName] {
+			case onPath:
+				i := slices.Index(path, j.ChainName)
+				return append(slices.Clone(path[i:]), j.ChainName)
+			case unseen:
+				if cyc := visit(j.ChainName); cyc != nil {
+					return cyc
+				}
+			}
+		}
+		path = path[:len(path)-1]
+		state[n] = done
+		return nil
+	}
+	for _, n := range names {
+		if state[n] == unseen {
+			if cyc := visit(n); cyc != nil {
+				return cyc
+			}
+		}
+	}
+	return nil
 }
 
 func (tx *Tx) install(chain string, r *Rule, front bool) error {

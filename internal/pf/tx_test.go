@@ -2,6 +2,7 @@ package pf
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -732,6 +733,61 @@ func TestJumpIntoBuiltinChainRejected(t *testing.T) {
 	}
 	if got := e.RuleCount(); got != 2 {
 		t.Fatalf("rule count = %d, want 2 (rejected rules must not land)", got)
+	}
+}
+
+// TestTxRejectsJumpCycle: a commit that closes a jump cycle — by install,
+// by replace-by-position, or by a chain jumping to itself — is refused with
+// the cycle named, and nothing it staged is published; a jump that closes
+// no cycle still commits.
+func TestTxRejectsJumpCycle(t *testing.T) {
+	e := New(testPolicy(), Optimized())
+	jump := func(to string) *Rule { return &Rule{Target: &JumpTarget{ChainName: to}} }
+	if err := e.Transaction(func(tx *Tx) error {
+		for _, n := range []string{"ca", "cb", "cc"} {
+			if err := tx.NewChain(n); err != nil {
+				return err
+			}
+		}
+		if err := tx.Append("input", jump("ca")); err != nil {
+			return err
+		}
+		if err := tx.Append("ca", jump("cb")); err != nil {
+			return err
+		}
+		return tx.Append("cb", &Rule{Target: Drop()})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	v, rules := e.Version(), e.RuleCount()
+	for _, tc := range []struct {
+		name  string
+		fn    func(*Tx) error
+		cycle string
+	}{
+		{"append", func(tx *Tx) error { return tx.Append("cb", jump("ca")) }, "ca -> cb -> ca"},
+		{"self", func(tx *Tx) error { return tx.Insert("cc", jump("cc")) }, "cc -> cc"},
+		{"replace", func(tx *Tx) error { return tx.ReplaceAt("cb", 0, jump("ca")) }, "ca -> cb -> ca"},
+		{"through a new chain", func(tx *Tx) error {
+			if err := tx.NewChain("cd"); err != nil {
+				return err
+			}
+			if err := tx.Append("cb", jump("cd")); err != nil {
+				return err
+			}
+			return tx.Append("cd", jump("ca"))
+		}, "ca -> cb -> cd -> ca"},
+	} {
+		err := e.Transaction(tc.fn)
+		if err == nil || !strings.Contains(err.Error(), "jump cycle: "+tc.cycle) {
+			t.Errorf("%s: commit error %v, want one naming the cycle %s", tc.name, err, tc.cycle)
+		}
+		if e.Version() != v || e.RuleCount() != rules {
+			t.Fatalf("%s: refused commit published: version %d -> %d, rules %d -> %d", tc.name, v, e.Version(), rules, e.RuleCount())
+		}
+	}
+	if err := e.Append("cc", jump("ca")); err != nil {
+		t.Fatalf("a jump closing no cycle was refused: %v", err)
 	}
 }
 

@@ -263,14 +263,18 @@ func Analyze(env *pftables.Env, file string, lines []string, sym *Symbols) *Repo
 
 // replay applies lines to a scratch engine the way ApplyAllFrom would,
 // except that a line which fails to parse or apply is reported to rep and
-// skipped. It returns the chains the engine holds afterwards and the names
-// of the chains an explicit -N created; rep.Rules counts the -I and -A
-// commands applied.
+// skipped. It returns the chains of the program the transaction compiles
+// and the names of the chains an explicit -N created; rep.Rules counts the
+// -I and -A commands applied. The gate keeps the candidate, so a rule base
+// whose commit the engine refuses (a jump cycle) is still analyzed.
 func replay(env *pftables.Env, file string, lines []string, rep *Report) (map[string]*pf.Chain, map[string]bool) {
 	declared := map[string]bool{}
 	e := pf.New(env.Policy, pf.Config{})
-	// The callback never fails, so neither does the commit.
-	_ = e.Transaction(func(tx *pf.Tx) error {
+	var cand *pf.Program
+	keep := func(p *pf.Program) error { cand = p; return nil }
+	// The callback never fails, and a refused commit is the analysis's
+	// to report.
+	_ = e.TransactionGated(func(tx *pf.Tx) error {
 		for i, line := range lines {
 			pos := pf.Pos{File: file, Line: i + 1}
 			line = strings.TrimSpace(line)
@@ -298,8 +302,8 @@ func replay(env *pftables.Env, file string, lines []string, rep *Report) (map[st
 			}
 		}
 		return nil
-	})
-	return e.Program().Chains(), declared
+	}, keep)
+	return cand.Chains(), declared
 }
 
 // AnalyzeEngine runs the semantic analysis over an engine's installed

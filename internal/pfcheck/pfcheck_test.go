@@ -74,6 +74,28 @@ func TestParseFindingPosition(t *testing.T) {
 	}
 }
 
+// TestMissingChainInstallFindings: -F, -D and -R on a chain no line
+// created are install errors, and the replay does not invent the chain.
+func TestMissingChainInstallFindings(t *testing.T) {
+	rep := check(t, testEnv(), []string{
+		"pftables -F nosuch",
+		"pftables -D nosuch -s httpd_t -j DROP",
+		"pftables -R nosuch 1 -s httpd_t -j DROP",
+	}, nil)
+	fs := find(rep, CodeInstall)
+	if len(fs) != 3 {
+		t.Fatalf("want 3 install findings, got %v", rep.Findings)
+	}
+	for i, f := range fs {
+		if f.Pos.Line != i+1 || !strings.Contains(f.Msg, `no such chain "nosuch"`) {
+			t.Errorf("install finding %d = %v, want line %d naming the missing chain", i, f, i+1)
+		}
+	}
+	if len(rep.Findings) != 3 {
+		t.Errorf("findings beyond the install errors: %v", rep.Findings)
+	}
+}
+
 func TestInstallFindings(t *testing.T) {
 	rep := check(t, testEnv(), []string{
 		"pftables -A output -s httpd_t -j DROP",
@@ -399,22 +421,25 @@ func TestCycleJumpsCitesEveryOwnJump(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pftables.InstallAllFrom(env, e, "batch.pft", []string{
+	// The engine refuses to publish a jump cycle, so the batch is read as
+	// policyd's gate reads it: as the candidate program.
+	var cand *pf.Program
+	if _, err := pftables.ApplyAllGated(env, e, "batch.pft", []string{
 		"pftables -A ca -j cb", // closes ca -> cb -> cc -> ca
 		"pftables -A ca -j cd", // leads off every cycle
 		"pftables -A cd -j cd", // jumps to itself
-	}); err != nil {
-		t.Fatal(err)
+	}, func(p *pf.Program) error { cand = p; return nil }); err == nil {
+		t.Fatal("a batch closing jump cycles was published")
 	}
 	var got []string
-	for _, f := range CycleJumps(e.Program().Chains(), "batch.pft") {
+	for _, f := range CycleJumps(cand.Chains(), "batch.pft") {
 		got = append(got, fmt.Sprintf("%d %s", f.Pos.Line, f.Msg))
 	}
 	want := []string{"1 jump cycle: ca -> cb -> cc -> ca", "3 jump cycle: cd -> cd"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("batch.pft cycle jumps = %q, want %q", got, want)
 	}
-	if fs := CycleJumps(e.Program().Chains(), "other.pft"); len(fs) != 0 {
+	if fs := CycleJumps(cand.Chains(), "other.pft"); len(fs) != 0 {
 		t.Fatalf("jumps of a source with none: %v", fs)
 	}
 }

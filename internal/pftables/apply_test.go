@@ -7,6 +7,41 @@ import (
 	"pfirewall/internal/pf"
 )
 
+// TestMissingChainNotCreated: only a new rule's own chain (-I, -A) and its
+// jump target are created on demand. -F, -D and -R name a chain that must
+// exist: on a missing one they fail with the transaction's no-such-chain
+// error and leave no chain behind.
+func TestMissingChainNotCreated(t *testing.T) {
+	env := testEnv()
+	engine := pf.New(env.Policy, pf.Optimized())
+	before := strings.Join(engine.Chains(), ",")
+	for _, line := range []string{
+		`pftables -F nosuch`,
+		`pftables -D nosuch -s httpd_t -j DROP`,
+		`pftables -D nosuch --tag batch.pft`,
+		`pftables -R nosuch 1 -s httpd_t -j DROP`,
+		`pftables -R nosuch 1 -j newchain`,
+	} {
+		if _, err := Install(env, engine, line); err == nil || !strings.Contains(err.Error(), `no such chain "nosuch"`) {
+			t.Errorf("%s: %v, want a no-such-chain error", line, err)
+		}
+	}
+	if after := strings.Join(engine.Chains(), ","); after != before {
+		t.Fatalf("chains %s -> %s: a failed command created one", before, after)
+	}
+	// A new rule's chains are still made for it, a replacement's jump
+	// target included.
+	if _, err := Install(env, engine, `pftables -A made -j DROP`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Install(env, engine, `pftables -R made 1 -j target`); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := engine.Chain("target"); !ok {
+		t.Fatal("-R did not create its jump target")
+	}
+}
+
 // --- -R replace-by-position ---------------------------------------------
 
 func TestReplaceByPosition(t *testing.T) {

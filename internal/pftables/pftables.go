@@ -940,10 +940,11 @@ func ApplyAllGated(env *Env, engine *pf.Engine, src string, lines []string, gate
 
 // Apply applies one parsed command to an open transaction. It is the one
 // place a pftables command turns into rule-base changes: Install, the batch
-// applies and pfcheck's replay all run it. The chains a rule names, its own
-// and a jump target, are created on demand, so rule files need no -N lines
-// (matching the paper's listings); mangle-table chains live under a
-// "mangle/" prefix so the engine can run them ahead of the filter table.
+// applies and pfcheck's replay all run it. The chains a new rule names, its
+// own (-I, -A) and a jump target (-I, -A, -R), are created on demand, so
+// rule files need no -N lines (matching the paper's listings); -D, -R and
+// -F act on a chain that exists. Mangle-table chains live under a "mangle/"
+// prefix so the engine can run them ahead of the filter table.
 func Apply(env *Env, tx *pf.Tx, cmd *Cmd) error {
 	if cmd.NewChainName != "" {
 		return tx.NewChain(cmd.NewChainName)
@@ -957,14 +958,19 @@ func Apply(env *Env, tx *pf.Tx, cmd *Cmd) error {
 			_ = tx.NewChain(name) // cannot fail: no chain has the name
 		}
 	}
-	ensure(chain)
-	if j, ok := cmd.Rule.Target.(*pf.JumpTarget); ok {
-		ensure(j.ChainName)
+	ensureTarget := func() {
+		if j, ok := cmd.Rule.Target.(*pf.JumpTarget); ok {
+			ensure(j.ChainName)
+		}
 	}
 	switch {
 	case cmd.Action == 'I':
+		ensure(chain)
+		ensureTarget()
 		return tx.Insert(chain, cmd.Rule)
 	case cmd.Action == 'A':
+		ensure(chain)
+		ensureTarget()
 		return tx.Append(chain, cmd.Rule)
 	case cmd.Action == 'D' && cmd.Tag != "":
 		_, err := tx.RemoveAll(chain, func(r *pf.Rule) bool { return r.Src.File == cmd.Tag })
@@ -974,7 +980,11 @@ func Apply(env *Env, tx *pf.Tx, cmd *Cmd) error {
 		want := cmd.Rule.String(tbl)
 		return tx.Remove(chain, func(r *pf.Rule) bool { return r.String(tbl) == want })
 	case cmd.Action == 'R':
-		return tx.ReplaceAt(chain, cmd.RulePos-1, cmd.Rule)
+		if err := tx.ReplaceAt(chain, cmd.RulePos-1, cmd.Rule); err != nil {
+			return err
+		}
+		ensureTarget()
+		return nil
 	case cmd.Action == 'F':
 		if chain == "" {
 			tx.Flush()

@@ -499,6 +499,28 @@ func TestGateVetoesBatchJumpCycle(t *testing.T) {
 	}
 }
 
+// TestNoCheckApplyRefusesJumpCycle: a NoCheck batch skips the gate, but not
+// the engine's own commit check: a batch that closes a jump cycle fails
+// with the cycle named and publishes nothing. The handler runs without a
+// socket, as in TestGateVetoesBatchJumpCycle.
+func TestNoCheckApplyRefusesJumpCycle(t *testing.T) {
+	w := policyWorld(t)
+	s := &Server{env: w.Env, engine: w.Engine}
+	apply := func(noCheck bool, lines ...string) Response {
+		line, _ := json.Marshal(Request{Op: "apply", Src: "batch.pft", NoCheck: noCheck, Lines: lines})
+		return s.handle(line, nil)
+	}
+	base := apply(false, "pftables -N ca", "pftables -N cb", "pftables -A input -s httpd_t -j ca", "pftables -A ca -j cb")
+	if !base.OK {
+		t.Fatalf("base: %s %v", base.Err, base.Findings)
+	}
+	resp := apply(true, "pftables -A cb -j ca")
+	if resp.OK || resp.Version != base.Version || resp.Rules != base.Rules || !strings.Contains(resp.Err, "jump cycle: ca -> cb -> ca") {
+		t.Fatalf("NoCheck cycle: ok=%v version %d -> %d, rules %d -> %d, err %q; want a refusal naming ca -> cb -> ca",
+			resp.OK, base.Version, resp.Version, base.Rules, resp.Rules, resp.Err)
+	}
+}
+
 // TestDoAfterTimeoutFails: a call that timed out closes its connection, so
 // its late response can never be read as the answer to a later request. A
 // gate that waits for the test holds the apply's response back until the

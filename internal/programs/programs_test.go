@@ -7,6 +7,7 @@ import (
 
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/pf"
+	"pfirewall/internal/pftables"
 	"pfirewall/internal/vfs"
 )
 
@@ -409,6 +410,45 @@ func TestSshdSingleSignalWithRules(t *testing.T) {
 	}
 	if s.HandlerRuns != 2 {
 		t.Errorf("runs = %d, want 2", s.HandlerRuns)
+	}
+}
+
+// TestSyscallEntryCountTripwire: under the Table 5 rules the syscallbegin
+// chain holds only R12, guarded by --arg 0 --equal NR_sigreturn, so every
+// other syscall entry is counted as a request and accepted without a rule
+// evaluated or a stack unwound; a sigreturn still fires R12 and clears the
+// in-handler STATE key.
+func TestSyscallEntryCountTripwire(t *testing.T) {
+	w := worldPF(t)
+	p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: BinSshd})
+	st := &w.Engine.Stats
+	counts := func() [3]uint64 {
+		return [3]uint64{st.Requests.Load(), st.RulesEvaluated.Load(), st.CtxCollections.Load()}
+	}
+	before := counts()
+	if _, err := p.Getpid(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counts(), [3]uint64{before[0] + 1, before[1], before[2]}; got != want {
+		t.Errorf("getpid: requests/rules evaluated/ctx collections %v -> %v, want %v", before, got, want)
+	}
+
+	sb, _ := w.Engine.Chain("syscallbegin")
+	if len(sb.Rules) != 1 {
+		t.Fatalf("syscallbegin holds %d rules, want R12 alone", len(sb.Rules))
+	}
+	r12 := sb.Rules[0]
+	hits := r12.Hits.Load()
+	key := pftables.KeyFor("sig")
+	p.PFState().Set(key, 1)
+	if err := p.Sigreturn(); err != nil {
+		t.Fatal(err)
+	}
+	if r12.Hits.Load() != hits+1 {
+		t.Errorf("R12 hits %d -> %d, want one more", hits, r12.Hits.Load())
+	}
+	if v, ok := p.PFState().Get(key); !ok || v != 0 {
+		t.Errorf("STATE 'sig' after sigreturn = %d (set %v), want 0", v, ok)
 	}
 }
 
