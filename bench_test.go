@@ -8,7 +8,8 @@
 //	BenchmarkRuleBaseScaling — ablation: entrypoint chains vs linear scan
 //
 // Run with: go test -bench=. -benchmem
-// The cmd/pfbench tool prints the same data in the paper's table layout.
+// The lmbench-backed benchmarks time the same cells cmd/pfbench runs: one
+// arm of an lmbench.Spec, built by lmbench.Bodies.
 package pfirewall_test
 
 import (
@@ -19,7 +20,6 @@ import (
 
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/lmbench"
-	"pfirewall/internal/obs"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/programs"
 	"pfirewall/internal/rulegen"
@@ -27,23 +27,35 @@ import (
 	"pfirewall/internal/webbench"
 )
 
-// parallelBenchWorld builds the fully optimized world the parallel
-// benchmarks run against. PFBENCH_OBS=1 additionally attaches the metrics
-// layer, so `PFBENCH_OBS=1 go test -bench=BenchmarkParallel` measures the
-// observability-enabled hot path against the same benchmark baseline (the
-// `make bench-smoke` comparison).
-func parallelBenchWorld(b *testing.B) *programs.World {
+// benchCell times one arm of a pfbench cell, splitting b.N across the
+// cell's goroutines, each driving its own bench process.
+func benchCell(b *testing.B, s lmbench.Spec, arm string) {
 	b.Helper()
-	cfg := pf.Optimized()
-	wopts := programs.WorldOpts{PF: &cfg}
+	bodies := lmbench.Bodies(s, arm)
+	per := max(b.N/len(bodies), 1)
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for _, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < per; n++ {
+				body()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// parallelArm is the armed EPTSPC world the parallel benchmarks run on.
+// PFBENCH_OBS=1 selects the same world with the metrics layer attached,
+// so `PFBENCH_OBS=1 go test -bench=BenchmarkParallel` measures the
+// observability-enabled hot path against the same baseline.
+func parallelArm() string {
 	if os.Getenv("PFBENCH_OBS") == "1" {
-		wopts.Obs = obs.New()
+		return "METRICS"
 	}
-	w := programs.NewWorld(wopts)
-	if _, err := w.InstallRules(lmbench.SyntheticRuleBase(lmbench.FullRuleBaseSize)); err != nil {
-		b.Fatal(err)
-	}
-	return w
+	return "EPTSPC"
 }
 
 // BenchmarkTable6 measures each syscall workload under each firewall
@@ -53,17 +65,7 @@ func BenchmarkTable6(b *testing.B) {
 	for _, wl := range lmbench.Workloads() {
 		for _, cfg := range lmbench.Configs() {
 			b.Run(fmt.Sprintf("%s/%s", wl.Name, cfg.Name), func(b *testing.B) {
-				w := lmbench.World(cfg)
-				p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-				for f := 0; f < 16; f++ {
-					p.PushFrame(programs.BinSshd, uint64(0x100+f*0x10))
-				}
-				p.SyscallSite(programs.BinSshd, 0x300)
-				body := wl.Setup(w, p)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					body()
-				}
+				benchCell(b, lmbench.Spec{Workload: wl.Name, Rules: lmbench.FullRuleBaseSize}, cfg.Name)
 			})
 		}
 	}
@@ -153,34 +155,16 @@ func BenchmarkFigure5(b *testing.B) {
 }
 
 // BenchmarkRuleBaseScaling is the ablation for design decision 2 of
-// DESIGN.md: with entrypoint-specific chains, per-access cost is flat in
-// the rule-base size. Without them ("linear") the synthetic base's
-// entrypoint rules stay in the input chain's index, where every one
-// matches the benchmark's op and subject bucket, so each open still scans
-// them all and cost grows with the base.
+// DESIGN.md: with entrypoint-specific chains (EPTSPC), per-access cost is
+// flat in the rule-base size. Without them ("linear": LAZYCON) the
+// synthetic base's entrypoint rules stay in the input chain's index, where
+// every one matches the benchmark's op and subject bucket, so each open
+// still scans them all and cost grows with the base.
 func BenchmarkRuleBaseScaling(b *testing.B) {
-	for _, indexed := range []bool{false, true} {
+	for _, mode := range []struct{ name, arm string }{{"linear", "LAZYCON"}, {"eptchains", "EPTSPC"}} {
 		for _, nrules := range []int{10, 100, 1000, 5000} {
-			name := "linear"
-			if indexed {
-				name = "eptchains"
-			}
-			b.Run(fmt.Sprintf("%s/rules=%d", name, nrules), func(b *testing.B) {
-				cfg := pf.Config{CtxCache: true, LazyCtx: true, EptChains: indexed}
-				w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-				if _, err := w.InstallRules(lmbench.SyntheticRuleBase(nrules)); err != nil {
-					b.Fatal(err)
-				}
-				p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-				p.SyscallSite(programs.BinSshd, 0x300)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					p.Close(fd)
-				}
+			b.Run(fmt.Sprintf("%s/rules=%d", mode.name, nrules), func(b *testing.B) {
+				benchCell(b, lmbench.Spec{Workload: "open+close", Rules: nrules}, mode.arm)
 			})
 		}
 	}
@@ -188,31 +172,18 @@ func BenchmarkRuleBaseScaling(b *testing.B) {
 
 // BenchmarkRuleScale measures generic-rule scaling: the mediated open+close
 // pair against the deployment-scale generated rule base under the fully
-// optimized configuration. The compiled decision program should stay near
-// flat as the rule count grows. The 10,000-rule cell is gated behind
-// PFBENCH_RULESCALE=1 (like the PFBENCH_OBS benches) so a blanket
-// `go test -bench .` stays fast; `pfbench -rulescale` always runs it.
+// optimized configuration — pfbench rulescale's cells. The compiled
+// decision program should stay near flat as the rule count grows. The
+// 10,000-rule cell is gated behind PFBENCH_RULESCALE=1 (like the
+// PFBENCH_OBS benches) so a blanket `go test -bench .` stays fast;
+// `pfbench rulescale` always runs it.
 func BenchmarkRuleScale(b *testing.B) {
 	for _, nrules := range rulegen.ScaleSizes {
 		b.Run(fmt.Sprintf("compiled/rules=%d", nrules), func(b *testing.B) {
 			if nrules > 1200 && os.Getenv("PFBENCH_RULESCALE") != "1" {
 				b.Skip("set PFBENCH_RULESCALE=1 for the 10k-rule cells")
 			}
-			cfg := pf.Optimized()
-			w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-			if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, nrules)); err != nil {
-				b.Fatal(err)
-			}
-			p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-			p.SyscallSite(programs.BinSshd, 0x300)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.Close(fd)
-			}
+			benchCell(b, lmbench.Spec{Workload: "open+close", Rules: nrules, Scale: true}, "EPTSPC")
 		})
 	}
 }
@@ -225,46 +196,9 @@ func BenchmarkRuleScale(b *testing.B) {
 // atomic pointer, ns/op should fall toward 1/cores as g grows on multicore
 // hardware (and stay flat on one core).
 func BenchmarkParallelOpen(b *testing.B) {
-	for _, g := range lmbench.ParallelFanout {
+	for _, g := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			w := parallelBenchWorld(b)
-			procs := make([]*kernel.Proc, g)
-			for i := range procs {
-				p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-				for f := 0; f < 16; f++ {
-					p.PushFrame(programs.BinSshd, uint64(0x100+f*0x10))
-				}
-				p.SyscallSite(programs.BinSshd, 0x300)
-				// Warm the per-process context caches so the timed region
-				// measures steady state.
-				fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.Close(fd)
-				procs[i] = p
-			}
-			per := b.N / g
-			if per == 0 {
-				per = 1
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := 0; i < g; i++ {
-				wg.Add(1)
-				go func(p *kernel.Proc) {
-					defer wg.Done()
-					for n := 0; n < per; n++ {
-						fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						p.Close(fd)
-					}
-				}(procs[i])
-			}
-			wg.Wait()
+			benchCell(b, lmbench.Spec{Workload: "open+close", Rules: lmbench.FullRuleBaseSize, Goroutines: g}, parallelArm())
 		})
 	}
 }
@@ -277,7 +211,7 @@ func BenchmarkParallelWeb(b *testing.B) {
 	// at 40 requests per client, so 8 clients is the max even split).
 	const totalRequests = 320
 	fullRules := lmbench.SyntheticRuleBase(lmbench.FullRuleBaseSize)
-	for _, g := range lmbench.ParallelFanout {
+	for _, g := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("clients=%d", g), func(b *testing.B) {
 			cfg := webbench.MacroConfigs()[len(webbench.MacroConfigs())-1] // PF Full
 			w := webbench.NewMacroWorld(cfg, fullRules)
@@ -300,65 +234,9 @@ func BenchmarkParallelWeb(b *testing.B) {
 // all goroutines; both are published through atomic pointers, so the read
 // side scales like the open path in BenchmarkParallelOpen.
 func BenchmarkParallelIPC(b *testing.B) {
-	for _, g := range lmbench.ParallelFanout {
+	for _, g := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			w := parallelBenchWorld(b)
-			type pair struct {
-				daemon, client *kernel.Proc
-				sfd            int
-				name           string
-			}
-			pairs := make([]pair, g)
-			for i := range pairs {
-				daemon := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "dbusd_t", Exec: programs.BinDbusD})
-				client := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-				client.SyscallSite(programs.BinSshd, 0x300)
-				name := fmt.Sprintf("bench-ipc-%d", i)
-				sfd, err := daemon.BindAbstract(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := daemon.Listen(sfd, 16); err != nil {
-					b.Fatal(err)
-				}
-				pairs[i] = pair{daemon: daemon, client: client, sfd: sfd, name: name}
-			}
-			req := []byte("GET job\n")
-			per := b.N / g
-			if per == 0 {
-				per = 1
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := 0; i < g; i++ {
-				wg.Add(1)
-				go func(pr pair) {
-					defer wg.Done()
-					for n := 0; n < per; n++ {
-						cfd, err := pr.client.ConnectAbstract(pr.name)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						afd, err := pr.daemon.Accept(pr.sfd)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := pr.client.Send(cfd, req); err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := pr.daemon.Recv(afd, 0); err != nil {
-							b.Error(err)
-							return
-						}
-						pr.client.Close(cfd)
-						pr.daemon.Close(afd)
-					}
-				}(pairs[i])
-			}
-			wg.Wait()
+			benchCell(b, lmbench.Spec{Workload: "ipc/abstract", Rules: lmbench.FullRuleBaseSize, Goroutines: g}, parallelArm())
 		})
 	}
 }

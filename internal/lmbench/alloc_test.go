@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"pfirewall/internal/kernel"
-	"pfirewall/internal/pf"
-	"pfirewall/internal/programs"
 )
 
 // TestZeroAllocHotPath is the allocation regression tripwire: on a fully
@@ -15,12 +13,8 @@ import (
 // escape in the resolver, a formatted string in a context module — fails
 // this test before it ever shows up as a latency regression.
 func TestZeroAllocHotPath(t *testing.T) {
-	cfg := pf.Optimized()
-	w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-	if _, err := w.InstallRules(SyntheticRuleBase(FullRuleBaseSize)); err != nil {
-		t.Fatal(err)
-	}
-	p := benchProc(w)
+	w := World(config("EPTSPC"), SyntheticRuleBase(FullRuleBaseSize))
+	p := BenchProc(w)
 
 	bodies := []struct {
 		name string
@@ -55,8 +49,8 @@ func TestZeroAllocHotPath(t *testing.T) {
 // machinery must cost nothing on the armed open+close path — the only
 // admissible residue is the single tracer-nil branch per filter site.
 func TestZeroAllocTracingDisabled(t *testing.T) {
-	w := traceWorld(true, DefaultObsSampleEvery, 0)
-	p := benchProc(w)
+	w := World(config("METRICS"), SyntheticRuleBase(FullRuleBaseSize))
+	p := BenchProc(w)
 	body := func() {
 		fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
 		if err != nil {
@@ -78,8 +72,10 @@ func TestZeroAllocTracingDisabled(t *testing.T) {
 // — the span lives by value in the mediation scratch state and the flight
 // ring is preallocated.
 func TestSampledTracingAllocBounded(t *testing.T) {
-	w := traceWorld(true, DefaultObsSampleEvery, 1)
-	p := benchProc(w)
+	cfg := config("TRACE")
+	cfg.TraceEvery = 1
+	w := World(cfg, SyntheticRuleBase(FullRuleBaseSize))
+	p := BenchProc(w)
 	body := func() {
 		fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
 		if err != nil {

@@ -1,32 +1,49 @@
-// Package lmbench reproduces the paper's Table 6 microbenchmark suite: the
+// Package lmbench is the benchmark harness behind cmd/pfbench and the
+// root package's Go benchmarks. It reproduces the paper's Table 6 — the
 // lmbench-style per-syscall latency measurements across Process Firewall
-// configurations — DISABLED, BASE (default allow rule only), FULL
+// configurations: DISABLED, BASE (default allow rule only), FULL
 // (complete rule base, no optimizations), CONCACHE (+context caching),
 // LAZYCON (+lazy context evaluation), and EPTSPC (+entrypoint-specific
-// chains).
+// chains) — and runs the beyond-the-paper benches (hot-path scaling, IPC,
+// observability overhead, rule-base scaling, allocations, the policy
+// control plane, the verifier and the worldscale fleet) through the same
+// cell runner, so every BENCH_*.json shares one schema (cell.go) and one
+// Markdown renderer (render.go).
 package lmbench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"time"
 
 	"pfirewall/internal/kernel"
+	"pfirewall/internal/obs"
 	"pfirewall/internal/pf"
 	"pfirewall/internal/programs"
 )
 
-// Config names one Table 6 column.
+// Config names one arm a cell can run on: a Table 6 column, or the
+// armed EPTSPC world with the observability layer attached.
 type Config struct {
 	Name string
 	// PF disabled entirely when Attach is false.
 	Attach bool
-	// Rules installs the synthetic full rule base.
+	// Rules installs the cell's rule base.
 	Rules bool
 	// Engine optimization flags.
 	Engine pf.Config
+	// Metrics attaches an obs registry sampling latency one syscall in
+	// ObsSampleEvery; TraceEvery > 0 also samples one syscall in
+	// TraceEvery into a provenance span.
+	Metrics    bool
+	TraceEvery int
 }
+
+// Observability sampling periods of the METRICS and TRACE arms: the
+// default latency period kernel.AttachObs applies, and one provenance
+// span per sixteen syscalls.
+const (
+	ObsSampleEvery = 16
+	TraceEvery     = 16
+)
 
 // Configs returns the six Table 6 columns in paper order.
 func Configs() []Config {
@@ -36,8 +53,23 @@ func Configs() []Config {
 		{Name: "FULL", Attach: true, Rules: true},
 		{Name: "CONCACHE", Attach: true, Rules: true, Engine: pf.Config{CtxCache: true}},
 		{Name: "LAZYCON", Attach: true, Rules: true, Engine: pf.Config{CtxCache: true, LazyCtx: true}},
-		{Name: "EPTSPC", Attach: true, Rules: true, Engine: pf.Config{CtxCache: true, LazyCtx: true, EptChains: true}},
+		{Name: "EPTSPC", Attach: true, Rules: true, Engine: pf.Optimized()},
 	}
+}
+
+// config looks an arm up by name: a Table 6 column, METRICS (EPTSPC with
+// metrics attached) or TRACE (METRICS plus sampled provenance spans).
+func config(name string) Config {
+	cfgs := append(Configs(),
+		Config{Name: "METRICS", Attach: true, Rules: true, Engine: pf.Optimized(), Metrics: true},
+		Config{Name: "TRACE", Attach: true, Rules: true, Engine: pf.Optimized(), Metrics: true, TraceEvery: TraceEvery},
+	)
+	for _, c := range cfgs {
+		if c.Name == name {
+			return c
+		}
+	}
+	panic("lmbench: unknown config " + name)
 }
 
 // FullRuleBaseSize is the size of the synthetic rule base, matching the
@@ -69,23 +101,41 @@ func SyntheticRuleBase(n int) []string {
 	return rules[:n]
 }
 
-// World builds a benchmark world for cfg.
-func World(cfg Config) *programs.World {
+// World builds a benchmark world armed with cfg, installing base when
+// cfg.Rules is set.
+func World(cfg Config, base []string) *programs.World {
 	var opts programs.WorldOpts
 	if cfg.Attach {
 		e := cfg.Engine
 		opts.PF = &e
 	}
+	if cfg.Metrics {
+		opts.Obs = obs.New()
+		opts.ObsEvery = ObsSampleEvery
+		opts.TraceEvery = cfg.TraceEvery
+	}
 	w := programs.NewWorld(opts)
 	if cfg.Rules {
-		if _, err := w.InstallRules(SyntheticRuleBase(FullRuleBaseSize)); err != nil {
+		if _, err := w.InstallRules(base); err != nil {
 			panic(err)
 		}
 	}
 	return w
 }
 
-// Workload is one Table 6 row: a named syscall pattern.
+// BenchProc starts the process every cell runs as: sshd_t, sixteen frames
+// deep (real servers sit ~15-30 frames deep at syscall time, and
+// entrypoint collection has to walk all of them).
+func BenchProc(w *programs.World) *kernel.Proc {
+	p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
+	for i := 0; i < 16; i++ {
+		p.PushFrame(programs.BinSshd, uint64(0x100+i*0x10))
+	}
+	p.SyscallSite(programs.BinSshd, 0x300)
+	return p
+}
+
+// Workload is a named syscall pattern one bench process repeats.
 type Workload struct {
 	Name string
 	// Setup prepares per-process state and returns the iteration body.
@@ -99,20 +149,14 @@ func Workloads() []Workload {
 			return func() { p.Getpid() }
 		}},
 		{Name: "stat", Setup: func(w *programs.World, p *kernel.Proc) func() {
-			return func() { p.Stat("/etc/passwd") }
+			return func() { must(p.Stat("/etc/passwd")) }
 		}},
 		{Name: "read", Setup: func(w *programs.World, p *kernel.Proc) func() {
-			fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-			if err != nil {
-				panic(err)
-			}
+			fd := must(p.Open("/etc/passwd", kernel.O_RDONLY, 0))
 			return func() { p.Read(fd, 1) }
 		}},
 		{Name: "write", Setup: func(w *programs.World, p *kernel.Proc) func() {
-			fd, err := p.Open("/tmp/bench-write", kernel.O_CREAT|kernel.O_RDWR, 0o600)
-			if err != nil {
-				panic(err)
-			}
+			fd := must(p.Open("/tmp/bench-write", kernel.O_CREAT|kernel.O_RDWR, 0o600))
 			buf := []byte{'x'}
 			n := 0
 			return func() {
@@ -124,40 +168,20 @@ func Workloads() []Workload {
 			}
 		}},
 		{Name: "fstat", Setup: func(w *programs.World, p *kernel.Proc) func() {
-			fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-			if err != nil {
-				panic(err)
-			}
+			fd := must(p.Open("/etc/passwd", kernel.O_RDONLY, 0))
 			return func() { p.Fstat(fd) }
 		}},
 		{Name: "open+close", Setup: func(w *programs.World, p *kernel.Proc) func() {
-			return func() {
-				fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-				if err != nil {
-					panic(err)
-				}
-				p.Close(fd)
-			}
+			return func() { p.Close(must(p.Open("/etc/passwd", kernel.O_RDONLY, 0))) }
 		}},
 		{Name: "fork+exit", Setup: func(w *programs.World, p *kernel.Proc) func() {
-			return func() {
-				child, err := p.Fork()
-				if err != nil {
-					panic(err)
-				}
-				child.Exit(0)
-			}
+			return func() { must(p.Fork()).Exit(0) }
 		}},
 		{Name: "fork+execve", Setup: func(w *programs.World, p *kernel.Proc) func() {
 			env := map[string]string{"PATH": "/bin"}
 			return func() {
-				child, err := p.Fork()
-				if err != nil {
-					panic(err)
-				}
-				if err := child.Execve(programs.BinSh, env); err != nil {
-					panic(err)
-				}
+				child := must(p.Fork())
+				mustDo(child.Execve(programs.BinSh, env))
 				child.Exit(0)
 			}
 		}},
@@ -166,20 +190,10 @@ func Workloads() []Workload {
 			return func() {
 				// sh -c spawns a shell which itself forks and execs the
 				// command, then both exit.
-				shell, err := p.Fork()
-				if err != nil {
-					panic(err)
-				}
-				if err := shell.Execve(programs.BinSh, env); err != nil {
-					panic(err)
-				}
-				cmd, err := shell.Fork()
-				if err != nil {
-					panic(err)
-				}
-				if err := cmd.Execve(programs.BinBash, env); err != nil {
-					panic(err)
-				}
+				shell := must(p.Fork())
+				mustDo(shell.Execve(programs.BinSh, env))
+				cmd := must(shell.Fork())
+				mustDo(cmd.Execve(programs.BinBash, env))
 				cmd.Exit(0)
 				shell.Exit(0)
 			}
@@ -187,116 +201,114 @@ func Workloads() []Workload {
 	}
 }
 
-// benchProc starts the process the microbenchmarks run as, with a small
-// realistic stack so entrypoint collection has work to do.
-func benchProc(w *programs.World) *kernel.Proc {
-	p := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
-	// Real servers sit ~15-30 frames deep at syscall time; entrypoint
-	// collection has to walk all of them.
-	for i := 0; i < 16; i++ {
-		p.PushFrame(programs.BinSshd, uint64(0x100+i*0x10))
-	}
-	p.SyscallSite(programs.BinSshd, 0x300)
-	return p
+// benchWorkloads are the beyond-the-paper bodies: the three-syscall file
+// loop the tracing comparison samples (a two-syscall loop would pin the
+// power-of-two sampling slot to one syscall, making the span rate bimodal
+// across runs), one IPC round trip per namespace, and a batched send/recv
+// burst of eight messages.
+var benchWorkloads = []Workload{
+	{Name: "open+stat+close", Setup: func(w *programs.World, p *kernel.Proc) func() {
+		return func() {
+			fd := must(p.Open("/etc/passwd", kernel.O_RDONLY, 0))
+			must(p.Stat("/etc/passwd"))
+			p.Close(fd)
+		}
+	}},
+	{Name: "ipc/fs", Setup: roundTrip("fs")},
+	{Name: "ipc/abstract", Setup: roundTrip("abstract")},
+	{Name: "ipc/port", Setup: roundTrip("port")},
+	{Name: "sendmmsg-8", Setup: func(w *programs.World, p *kernel.Proc) func() {
+		daemon, sfd, connect := listen(w, "abstract", p)
+		cfd := must(connect())
+		afd := must(daemon.Accept(sfd))
+		burst := make([][]byte, 8)
+		for i := range burst {
+			burst[i] = ipcRequest
+		}
+		return func() {
+			must(p.Sendmmsg(cfd, burst))
+			// Drain in one burst so the stream buffer stays bounded.
+			must(daemon.Recvmmsg(afd, 8, 0))
+		}
+	}},
 }
 
-// Measurement is one (workload, config) cell: the mean over repetitions
-// and its standard deviation (the paper reports σ < 1% for its
-// microbenchmarks).
-type Measurement struct {
-	Workload string
-	Config   string
-	NsPerOp  float64
-	StdDevNs float64
+// workload looks a body up by name among the Table 6 rows and the bench
+// workloads.
+func workload(name string) Workload {
+	for _, wl := range append(Workloads(), benchWorkloads...) {
+		if wl.Name == name {
+			return wl
+		}
+	}
+	panic("lmbench: unknown workload " + name)
 }
 
-// cellReps is how many timed repetitions each cell averages over.
-const cellReps = 5
+var (
+	ipcRequest = []byte("GET job\n")
+	ipcReply   = []byte("OK job\n")
+)
 
-// Run measures every workload under every config with iters iterations
-// per cell, returning cells in row-major order.
-func Run(iters int) []Measurement {
-	var out []Measurement
-	for _, wl := range Workloads() {
-		for _, cfg := range Configs() {
-			out = append(out, RunCell(wl, cfg, iters))
-		}
+// listen binds a daemon's listener in namespace ns (fs, abstract or port)
+// under a key unique to client, and returns it with the client's connect.
+// Filesystem sockets walk the vfs on every connect; the abstract and port
+// namespaces only touch the IPC registry.
+func listen(w *programs.World, ns string, client *kernel.Proc) (*kernel.Proc, int, func() (int, error)) {
+	daemon := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "dbusd_t", Exec: programs.BinDbusD})
+	key := client.PID()
+	var sfd int
+	var err error
+	var connect func() (int, error)
+	switch ns {
+	case "fs":
+		path := fmt.Sprintf("/tmp/ipcbench-%d", key)
+		sfd, err = daemon.Bind(path, 0o666)
+		connect = func() (int, error) { return client.Connect(path) }
+	case "abstract":
+		name := fmt.Sprintf("ipcbench-%d", key)
+		sfd, err = daemon.BindAbstract(name)
+		connect = func() (int, error) { return client.ConnectAbstract(name) }
+	case "port":
+		port := uint16(9000 + key)
+		sfd, err = daemon.BindPort(port)
+		connect = func() (int, error) { return client.ConnectPort(port) }
+	default:
+		panic("lmbench: unknown namespace " + ns)
 	}
-	return out
+	mustDo(err)
+	mustDo(daemon.Listen(sfd, 16))
+	return daemon, sfd, connect
 }
 
-// RunCell measures one cell: cellReps timed repetitions after a warm-up,
-// reporting mean and standard deviation across repetitions.
-func RunCell(wl Workload, cfg Config, iters int) Measurement {
-	w := World(cfg)
-	p := benchProc(w)
-	body := wl.Setup(w, p)
-	perRep := iters / cellReps
-	if perRep < 1 {
-		perRep = 1
-	}
-	// Warm up caches and allocators, then isolate from earlier cells' garbage.
-	for i := 0; i < perRep/5+1; i++ {
-		body()
-	}
-	runtime.GC()
-
-	var samples [cellReps]float64
-	for r := 0; r < cellReps; r++ {
-		start := time.Now()
-		for i := 0; i < perRep; i++ {
-			body()
+// roundTrip is one complete client/daemon exchange in namespace ns —
+// connect, accept, request, reply, two closes — crossing the firewall at
+// the connect, accept, send and recv hooks. Connect enqueues the pending
+// pair synchronously, so Accept never spins.
+func roundTrip(ns string) func(w *programs.World, p *kernel.Proc) func() {
+	return func(w *programs.World, p *kernel.Proc) func() {
+		daemon, sfd, connect := listen(w, ns, p)
+		return func() {
+			cfd := must(connect())
+			afd := must(daemon.Accept(sfd))
+			must(p.Send(cfd, ipcRequest))
+			must(daemon.Recv(afd, 0))
+			must(daemon.Send(afd, ipcReply))
+			must(p.Recv(cfd, 0))
+			p.Close(cfd)
+			daemon.Close(afd)
 		}
-		samples[r] = float64(time.Since(start).Nanoseconds()) / float64(perRep)
-	}
-	var mean float64
-	for _, v := range samples {
-		mean += v
-	}
-	mean /= cellReps
-	var varsum float64
-	for _, v := range samples {
-		varsum += (v - mean) * (v - mean)
-	}
-	return Measurement{
-		Workload: wl.Name,
-		Config:   cfg.Name,
-		NsPerOp:  mean,
-		StdDevNs: math.Sqrt(varsum / cellReps),
 	}
 }
 
-// FormatTable6 renders measurements in the paper's layout: one row per
-// workload, one column per config, percentage overhead versus DISABLED in
-// brackets.
-func FormatTable6(cells []Measurement) string {
-	byRow := map[string]map[string]float64{}
-	var rows []string
-	for _, c := range cells {
-		if byRow[c.Workload] == nil {
-			byRow[c.Workload] = map[string]float64{}
-			rows = append(rows, c.Workload)
-		}
-		byRow[c.Workload][c.Config] = c.NsPerOp
+// must panics on a failed benchmark syscall: a body that errors would time
+// the error path, not the workload.
+func must[T any](v T, err error) T {
+	mustDo(err)
+	return v
+}
+
+func mustDo(err error) {
+	if err != nil {
+		panic(err)
 	}
-	var b []byte
-	b = append(b, fmt.Sprintf("%-12s", "Syscall")...)
-	for _, cfg := range Configs() {
-		b = append(b, fmt.Sprintf("%-24s", cfg.Name)...)
-	}
-	b = append(b, '\n')
-	for _, row := range rows {
-		base := byRow[row]["DISABLED"]
-		b = append(b, fmt.Sprintf("%-12s", row)...)
-		for _, cfg := range Configs() {
-			v := byRow[row][cfg.Name]
-			over := 0.0
-			if base > 0 {
-				over = (v - base) / base * 100
-			}
-			b = append(b, fmt.Sprintf("%-24s", fmt.Sprintf("%.0fns (%+.1f%%)", v, over))...)
-		}
-		b = append(b, '\n')
-	}
-	return string(b)
 }

@@ -17,8 +17,7 @@ package lmbench
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -30,97 +29,38 @@ import (
 	"pfirewall/internal/rulegen"
 )
 
-// PolicyChurnSizes is the standard publish-latency sweep: small, the
-// paper-scale base, and deployment scale.
-var PolicyChurnSizes = []int{100, 1200, 10000}
-
 // policyWorlds is the propagation fleet size.
 const policyWorlds = 4
 
 // policyRounds is the paired-round count for propagation and disturbance.
 const policyRounds = 4
 
-// PolicyPublishCell is one (mode, rule-count) publish-latency measurement.
-type PolicyPublishCell struct {
-	Mode         string  `json:"mode"` // "full" or "incremental"
-	Rules        int     `json:"rules"`
-	Publishes    int     `json:"publishes"`
-	NsPerPublish float64 `json:"ns_per_publish"`
-	P50Ns        float64 `json:"p50_ns"`
-	P99Ns        float64 `json:"p99_ns"`
-}
-
-// PolicyPropagation is the fleet fan-out measurement.
-type PolicyPropagation struct {
-	Worlds int `json:"worlds"`
-	Rounds int `json:"rounds"`
-	// P50Ns/MaxNs: time from publish start until every world's engine
-	// answered with the new verdict (client round trip + verified probe).
-	P50Ns float64 `json:"p50_ns"`
-	MaxNs float64 `json:"max_ns"`
-	// Lost counts probes that saw a stale verdict after their publish
-	// round-trip completed — the "zero dropped/blocked requests" gate.
-	Lost int `json:"lost"`
-}
-
-// PolicyDisturbance is the paired quiet/churning open-path comparison.
-type PolicyDisturbance struct {
-	Rounds     int     `json:"rounds"`
-	OpsPerSide int     `json:"ops_per_side"`
-	QuietP99Ns float64 `json:"quiet_p99_ns"`
-	ChurnP99Ns float64 `json:"churn_p99_ns"`
-	// Pct is the mean-of-rounds p99 disturbance; BestRoundPct the minimum
-	// paired round, the gate's number.
-	Pct          float64 `json:"p99_disturbance_pct"`
-	BestRoundPct float64 `json:"best_round_p99_disturbance_pct"`
-	// Publishes landed while the churning sides ran, and verdict
-	// conservation over the whole engine lifetime.
-	Publishes         uint64 `json:"publishes"`
-	DeltaCompiles     uint64 `json:"delta_compiles"`
-	Requests          uint64 `json:"requests"`
-	Accepts           uint64 `json:"accepts"`
-	Drops             uint64 `json:"drops"`
-	VerdictsConserved bool   `json:"verdicts_conserved"`
-}
-
-// PolicyChurnReport is the full control-plane measurement.
-type PolicyChurnReport struct {
-	BenchEnv
-	Publish     []PolicyPublishCell `json:"publish"`
-	Propagation PolicyPropagation   `json:"propagation"`
-	Disturbance PolicyDisturbance   `json:"disturbance"`
-}
-
-// SpeedupAt reports full/incremental ns-per-publish at the given size
-// (zero when either cell is missing).
-func (rep *PolicyChurnReport) SpeedupAt(rules int) float64 {
-	var full, inc float64
-	for _, c := range rep.Publish {
-		if c.Rules != rules {
-			continue
-		}
-		switch c.Mode {
-		case "full":
-			full = c.NsPerPublish
-		case "incremental":
-			inc = c.NsPerPublish
-		}
+// policyGrid: full vs incremental publish at each rule-base size, the
+// propagation fleet, and the quiet vs churning open path over the
+// paper-scale base.
+func policyGrid(smoke bool) []Spec {
+	var specs []Spec
+	for _, n := range sizes(smoke) {
+		specs = append(specs, Spec{Workload: "publish", Arms: []string{"full", "incremental"}, Rules: n})
 	}
-	if full == 0 || inc == 0 {
-		return 0
-	}
-	return full / inc
+	return append(specs,
+		Spec{Workload: "propagation"},
+		Spec{Workload: "disturbance", Arms: []string{"quiet", "churn"}, Rules: 1200})
 }
 
-// MaxPublishSize is the largest size in the publish sweep.
-func (rep *PolicyChurnReport) MaxPublishSize() int {
-	max := 0
-	for _, c := range rep.Publish {
-		if c.Rules > max {
-			max = c.Rules
-		}
+// policyCell measures one spec of policyGrid. The publish count per cell
+// is o.Iters/50 (400 at the default 20,000) and a disturbance side runs
+// o.Iters opens.
+func policyCell(s Spec, o Opts) []Cell {
+	switch s.Workload {
+	case "publish":
+		return runPolicyPublish(max(o.Iters/50, 2)&^1, s.Rules)
+	case "propagation":
+		return []Cell{runPolicyPropagation()}
+	case "disturbance":
+		return runPolicyDisturbance(max(o.Iters, 1), s.Rules)
 	}
-	return max
+	panic("lmbench: unknown policy workload " + s.Workload)
 }
 
 // policyProbeRule renders the inert probe rule used for publish timing:
@@ -128,176 +68,131 @@ func (rep *PolicyChurnReport) MaxPublishSize() int {
 // delta compiler patches), with a subject label no process carries.
 const policyProbeRule = `pftables -A input -s {policy_probe_t} -d {tmp_t} -o FILE_UNLINK -j DROP`
 
-// RunPolicyChurn runs the three control-plane measurements. publishes is
-// the per-cell publish count for the latency sweep; iters the per-side op
-// count for the disturbance rounds.
-func RunPolicyChurn(publishes, iters int, sizes []int) PolicyChurnReport {
-	if publishes < 2 {
-		publishes = 2
-	}
-	publishes -= publishes % 2 // append/remove pairs
-	if iters < 1 {
-		iters = 1
-	}
-	if len(sizes) == 0 {
-		sizes = PolicyChurnSizes
-	}
-	rep := PolicyChurnReport{BenchEnv: Env()}
-	rep.Publish = runPolicyPublish(publishes, sizes)
-	rep.Propagation = runPolicyPropagation()
-	rep.Disturbance = runPolicyDisturbance(iters)
-	return rep
-}
-
-// runPolicyPublish times single-rule publishes against installed bases of
-// each size: one append and one remove per pair, so the base size is
+// runPolicyPublish times single-rule publishes against an installed base
+// of n rules: one append and one remove per pair, so the base size is
 // stable across the measured window. The "incremental" cell times the
 // engine's publish, a delta compile; the "full" cell times a from-scratch
 // pf.Compile of the same chains after each change — what every publish
-// would cost without the delta compiler.
-func runPolicyPublish(publishes int, sizes []int) []PolicyPublishCell {
-	var cells []PolicyPublishCell
+// would cost without the delta compiler. The incremental cell counts its
+// speedup over the full one.
+func runPolicyPublish(publishes, n int) []Cell {
+	var cells []Cell
 	for _, mode := range []string{"full", "incremental"} {
-		for _, n := range sizes {
-			cfg := pf.Optimized()
-			w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-			if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, n)); err != nil {
-				panic(err)
-			}
-			cmd, err := pftables.Parse(w.Env, policyProbeRule)
-			if err != nil {
-				panic(err)
-			}
-			probe := cmd.Rule
-			eng := w.Engine
-			match := func(r *pf.Rule) bool { return r == probe }
-			publish := func(change func() error) int64 {
-				if mode == "incremental" {
-					t0 := time.Now()
-					mustPolicy(change())
-					return time.Since(t0).Nanoseconds()
-				}
-				mustPolicy(change())
-				chains := eng.Program().Chains()
+		cfg := pf.Optimized()
+		w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
+		must(w.InstallRules(rulegen.ScaleRuleBase(1, n)))
+		probe := must(pftables.Parse(w.Env, policyProbeRule)).Rule
+		eng := w.Engine
+		match := func(r *pf.Rule) bool { return r == probe }
+		publish := func(change func() error) float64 {
+			if mode == "incremental" {
 				t0 := time.Now()
-				pf.Compile(chains, cfg)
-				return time.Since(t0).Nanoseconds()
+				mustDo(change())
+				return float64(time.Since(t0).Nanoseconds())
 			}
-			appendProbe := func() error { return eng.Append("input", probe) }
-			removeProbe := func() error { return eng.Remove("input", match) }
-			// Warm both paths (and let lazy derived state settle).
-			for i := 0; i < 4; i++ {
-				publish(appendProbe)
-				publish(removeProbe)
-			}
-			st0 := eng.PublishStats()
-			samples := make([]int64, 0, publishes)
-			for i := 0; i < publishes/2; i++ {
-				samples = append(samples, publish(appendProbe), publish(removeProbe))
-			}
-			st1 := eng.PublishStats()
-			if mode == "incremental" && st1.DeltaCompiles == st0.DeltaCompiles {
-				panic("policychurn: incremental cell never took the delta-compile path")
-			}
-			var total int64
-			for _, s := range samples {
-				total += s
-			}
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			cells = append(cells, PolicyPublishCell{
-				Mode:         mode,
-				Rules:        n,
-				Publishes:    len(samples),
-				NsPerPublish: float64(total) / float64(len(samples)),
-				P50Ns:        percentileNs(samples, 0.50),
-				P99Ns:        percentileNs(samples, 0.99),
-			})
+			mustDo(change())
+			chains := eng.Program().Chains()
+			t0 := time.Now()
+			pf.Compile(chains, cfg)
+			return float64(time.Since(t0).Nanoseconds())
 		}
+		appendProbe := func() error { return eng.Append("input", probe) }
+		removeProbe := func() error { return eng.Remove("input", match) }
+		// Warm both paths (and let lazy derived state settle).
+		for i := 0; i < 4; i++ {
+			publish(appendProbe)
+			publish(removeProbe)
+		}
+		st0 := eng.PublishStats()
+		samples := make([]float64, 0, publishes)
+		for i := 0; i < publishes/2; i++ {
+			samples = append(samples, publish(appendProbe), publish(removeProbe))
+		}
+		st1 := eng.PublishStats()
+		if mode == "incremental" && st1.DeltaCompiles == st0.DeltaCompiles {
+			panic("policychurn: incremental cell never took the delta-compile path")
+		}
+		var total float64
+		for _, s := range samples {
+			total += s
+		}
+		cells = append(cells, Cell{
+			Workload: "publish",
+			Config:   mode,
+			Rules:    n,
+			Ops:      int64(len(samples)),
+			NsPerOp:  total / float64(len(samples)),
+			P50Ns:    quantile(samples, 0.50),
+			P99Ns:    quantile(samples, 0.99),
+		})
 	}
+	cells[1].Counts = map[string]float64{"speedup": cells[0].NsPerOp / cells[1].NsPerOp}
 	return cells
 }
 
 // runPolicyPropagation streams a canary DROP to a small fleet of worlds
 // through policyd publishers and measures until every engine's verdict
-// actually flipped, verified by an in-world probe each round.
-func runPolicyPropagation() PolicyPropagation {
+// actually flipped, verified by an in-world probe each round. It counts
+// the probes that saw a stale verdict after their publish round trip
+// completed: the "zero dropped/blocked requests" gate.
+func runPolicyPropagation() Cell {
 	cfg := pf.Optimized()
-	type target struct {
-		w     *programs.World
-		probe *kernel.Proc
-	}
 	var (
-		targets []target
+		probes  []*kernel.Proc
 		names   []string
 		clients []*policyd.Client
 	)
 	for i := 0; i < policyWorlds; i++ {
 		w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
 		// A base rule so opens are mediated at all (MayFilter gating).
-		if _, err := w.InstallRules([]string{
-			`pftables -A input -s user_t -d shadow_t -o FILE_OPEN -j DROP`,
-		}); err != nil {
-			panic(err)
-		}
+		must(w.InstallRules([]string{`pftables -A input -s user_t -d shadow_t -o FILE_OPEN -j DROP`}))
 		name := fmt.Sprintf("pfpolicy-bench-%d", i)
-		srv, err := policyd.Serve(w.K, w.Env, w.Engine, name, nil)
-		if err != nil {
-			panic(err)
-		}
+		srv := must(policyd.Serve(w.K, w.Env, w.Engine, name, nil))
 		defer srv.Close()
-		cl, err := policyd.Dial(w.K, name)
-		if err != nil {
-			panic(err)
-		}
-		targets = append(targets, target{
-			w:     w,
-			probe: w.NewProc(kernel.ProcSpec{UID: 1000, Label: "user_t"}),
-		})
+		probes = append(probes, w.NewProc(kernel.ProcSpec{UID: 1000, Label: "user_t"}))
 		names = append(names, name)
-		clients = append(clients, cl)
+		clients = append(clients, must(policyd.Dial(w.K, name)))
 	}
 	pub := policyd.NewPublisher(names, clients)
 	defer pub.Close()
 
-	canary := []string{`pftables -A input -s user_t -o FILE_OPEN -j DROP`}
-	drain := []string{`pftables -D input --tag canary.pft`}
-	res := PolicyPropagation{Worlds: policyWorlds, Rounds: policyRounds * 2}
-	var samples []int64
-	for round := 0; round < policyRounds*2; round++ {
-		t0 := time.Now()
-		for _, r := range pub.Apply("canary.pft", canary, 0) {
+	apply := func(file string, lines []string) {
+		for _, r := range pub.Apply(file, lines, 0) {
 			if r.Err != "" || !r.Resp.OK {
-				panic(fmt.Sprintf("policychurn: canary publish to %s: %s %s", r.Name, r.Err, r.Resp.Err))
+				panic(fmt.Sprintf("policychurn: %s to %s: %s %s", file, r.Name, r.Err, r.Resp.Err))
 			}
-		}
-		// The publish responses are back, so every engine must already
-		// answer with the canary verdict: a stale accept is a lost update.
-		for _, tg := range targets {
-			if fd, err := tg.probe.Open("/etc/passwd", kernel.O_RDONLY, 0); err == nil {
-				tg.probe.Close(fd)
-				res.Lost++
-			}
-		}
-		samples = append(samples, time.Since(t0).Nanoseconds())
-		for _, r := range pub.Apply("drain.pft", drain, 0) {
-			if r.Err != "" || !r.Resp.OK {
-				panic(fmt.Sprintf("policychurn: canary drain to %s: %s %s", r.Name, r.Err, r.Resp.Err))
-			}
-		}
-		// And the drain must restore the accept.
-		for _, tg := range targets {
-			fd, err := tg.probe.Open("/etc/passwd", kernel.O_RDONLY, 0)
-			if err != nil {
-				res.Lost++
-				continue
-			}
-			tg.probe.Close(fd)
 		}
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	res.P50Ns = percentileNs(samples, 0.50)
-	res.MaxNs = float64(samples[len(samples)-1])
-	return res
+	// opens counts the probes whose open succeeds.
+	opens := func() (n int) {
+		for _, p := range probes {
+			if fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0); err == nil {
+				p.Close(fd)
+				n++
+			}
+		}
+		return n
+	}
+	stale := 0
+	var samples []float64
+	for round := 0; round < policyRounds*2; round++ {
+		t0 := time.Now()
+		apply("canary.pft", []string{`pftables -A input -s user_t -o FILE_OPEN -j DROP`})
+		// The publish responses are back, so every engine must already
+		// answer with the canary verdict: a stale accept is a lost update.
+		stale += opens()
+		samples = append(samples, float64(time.Since(t0).Nanoseconds()))
+		apply("drain.pft", []string{`pftables -D input --tag canary.pft`})
+		// And the drain must restore the accept.
+		stale += len(probes) - opens()
+	}
+	return Cell{
+		Workload: "propagation",
+		Rounds:   len(samples),
+		Ops:      int64(len(samples)),
+		P50Ns:    quantile(samples, 0.50),
+		Counts:   map[string]float64{"worlds": policyWorlds, "stale": float64(stale), "max_ns": slices.Max(samples)},
+	}
 }
 
 // churnWaveLines builds one inert non-entrypoint wave batch (input-chain
@@ -312,50 +207,38 @@ func churnWaveLines(tag int) []string {
 }
 
 // runPolicyDisturbance measures mediated open+close p99 in paired
-// quiet/churning rounds on one world whose rule base is the paper-scale
-// 1200 rules.
-func runPolicyDisturbance(iters int) PolicyDisturbance {
+// quiet/churning rounds on one world carrying a scale base of n rules.
+// Each cell's p99 is the median of its rounds'; the churn cell adds the
+// median and best per-round disturbance, the publishes that landed while
+// its sides ran, and the engine's verdict accounting over its lifetime.
+func runPolicyDisturbance(iters, n int) []Cell {
 	cfg := pf.Optimized()
 	w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-	if _, err := w.InstallRules(rulegen.ScaleRuleBase(1, 1200)); err != nil {
-		panic(err)
-	}
-	srv, err := policyd.Serve(w.K, w.Env, w.Engine, "pfpolicy-disturb", nil)
-	if err != nil {
-		panic(err)
-	}
+	must(w.InstallRules(rulegen.ScaleRuleBase(1, n)))
+	srv := must(policyd.Serve(w.K, w.Env, w.Engine, "pfpolicy-disturb", nil))
 	defer srv.Close()
 
-	p := parallelProc(w)
-	measure := func() []int64 {
-		samples := make([]int64, iters)
+	body := workload("open+close").Setup(w, BenchProc(w))
+	p99 := func() float64 {
+		samples := make([]float64, iters)
 		for i := range samples {
 			t0 := time.Now()
-			fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
-			if err != nil {
-				panic(err)
-			}
-			p.Close(fd)
-			samples[i] = time.Since(t0).Nanoseconds()
+			body()
+			samples[i] = float64(time.Since(t0).Nanoseconds())
 		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		return samples
+		return quantile(samples, 0.99)
 	}
 
 	// The streamer client is dialed once; rounds hand it to one goroutine
 	// at a time (measure joins the churner before the next round), so the
 	// kernel's single-flow invariant holds.
-	cl, err := policyd.Dial(w.K, "pfpolicy-disturb")
-	if err != nil {
-		panic(err)
-	}
+	cl := must(policyd.Dial(w.K, "pfpolicy-disturb"))
 	defer cl.Close()
 
 	st0 := w.Engine.PublishStats()
-	res := PolicyDisturbance{Rounds: policyRounds, OpsPerSide: iters}
-	var quietSum, churnSum, pctSum float64
+	var quiet, churn, pct []float64
 	for round := 0; round < policyRounds; round++ {
-		quiet := percentileNs(measure(), 0.99)
+		quiet = append(quiet, p99())
 
 		// Churning side: a background streamer drives wave applies and
 		// tag-drains through the daemon for the whole measured window. The
@@ -385,67 +268,24 @@ func runPolicyDisturbance(iters int) PolicyDisturbance {
 			}
 		}()
 		<-ready
-		churn := percentileNs(measure(), 0.99)
+		churn = append(churn, p99())
 		stop.Store(true)
 		<-done
-
-		quietSum += quiet
-		churnSum += churn
-		pct := (churn - quiet) / quiet * 100
-		pctSum += pct
-		if round == 0 || pct < res.BestRoundPct {
-			res.BestRoundPct = pct
-		}
+		pct = append(pct, (churn[round]-quiet[round])/quiet[round]*100)
 	}
 	st1 := w.Engine.PublishStats()
-	res.QuietP99Ns = quietSum / float64(policyRounds)
-	res.ChurnP99Ns = churnSum / float64(policyRounds)
-	res.Pct = pctSum / float64(policyRounds)
-	res.Publishes = st1.Publishes - st0.Publishes
-	res.DeltaCompiles = st1.DeltaCompiles - st0.DeltaCompiles
-	res.Requests = w.Engine.Stats.Requests.Load()
-	res.Accepts = w.Engine.Stats.Accepts.Load()
-	res.Drops = w.Engine.Stats.Drops.Load()
-	res.VerdictsConserved = res.Requests == res.Accepts+res.Drops
-	return res
-}
-
-// percentileNs reads the q-quantile from sorted samples (nearest-rank).
-func percentileNs(sorted []int64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+	side := func(config string, p99s []float64) Cell {
+		return Cell{Workload: "disturbance", Config: config, Rules: n, Rounds: policyRounds,
+			Ops: int64(iters * policyRounds), P99Ns: quantile(p99s, 0.5)}
 	}
-	i := int(q * float64(len(sorted)-1))
-	return float64(sorted[i])
-}
-
-func mustPolicy(err error) {
-	if err != nil {
-		panic(err)
+	c := side("churn", churn)
+	c.OverheadPct, c.BestRoundPct = quantile(pct, 0.5), slices.Min(pct)
+	c.Counts = map[string]float64{
+		"publishes":      float64(st1.Publishes - st0.Publishes),
+		"delta_compiles": float64(st1.DeltaCompiles - st0.DeltaCompiles),
+		"requests":       float64(w.Engine.Stats.Requests.Load()),
+		"accepts":        float64(w.Engine.Stats.Accepts.Load()),
+		"drops":          float64(w.Engine.Stats.Drops.Load()),
 	}
-}
-
-// FormatPolicyChurn renders the three measurements.
-func FormatPolicyChurn(rep PolicyChurnReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Policy publish latency: full compile vs incremental delta (NumCPU=%d GOMAXPROCS=%d)\n",
-		rep.NumCPU, rep.GOMAXPROCS)
-	fmt.Fprintf(&b, "%-12s %8s %12s %12s %12s %9s\n", "mode", "rules", "ns/publish", "p50 ns", "p99 ns", "speedup")
-	for _, c := range rep.Publish {
-		speed := ""
-		if c.Mode == "incremental" {
-			speed = fmt.Sprintf("%8.1fx", rep.SpeedupAt(c.Rules))
-		}
-		fmt.Fprintf(&b, "%-12s %8d %12.0f %12.0f %12.0f %9s\n",
-			c.Mode, c.Rules, c.NsPerPublish, c.P50Ns, c.P99Ns, speed)
-	}
-	pr := rep.Propagation
-	fmt.Fprintf(&b, "Propagation: %d worlds, %d rounds: p50=%.0fns max=%.0fns, %d stale verdicts\n",
-		pr.Worlds, pr.Rounds, pr.P50Ns, pr.MaxNs, pr.Lost)
-	d := rep.Disturbance
-	fmt.Fprintf(&b, "Open p99 disturbance while churning: quiet=%.0fns churn=%.0fns (%+.1f%%, best round %+.1f%%)\n",
-		d.QuietP99Ns, d.ChurnP99Ns, d.Pct, d.BestRoundPct)
-	fmt.Fprintf(&b, "  churn window: %d publishes (%d incremental); verdicts %d = %d + %d (conserved=%v)\n",
-		d.Publishes, d.DeltaCompiles, d.Requests, d.Accepts, d.Drops, d.VerdictsConserved)
-	return b.String()
+	return []Cell{side("quiet", quiet), c}
 }

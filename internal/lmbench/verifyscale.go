@@ -9,8 +9,6 @@
 package lmbench
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"pfirewall/internal/pf"
@@ -18,14 +16,6 @@ import (
 	"pfirewall/internal/programs"
 	"pfirewall/internal/rulegen"
 )
-
-// VerifyScaleSizes is the standard sweep: small, the paper-scale base,
-// and deployment scale.
-var VerifyScaleSizes = []int{100, 1200, 10000}
-
-// VerifyBudget is the wall-clock budget for one full invariant sweep at
-// the largest standard size; the gate (pfbench -verify-gate) enforces it.
-const VerifyBudget = 10 * time.Second
 
 // verifyGuardRules are prepended to the synthetic base so the bench
 // invariants have something to prove: a subjectless unlink guard on the
@@ -56,93 +46,38 @@ invariant scale-guard-open {
 }
 `
 
-// VerifyScaleCell is one rule-base size's sweep measurement.
-type VerifyScaleCell struct {
-	Rules      int `json:"rules"`
-	Labels     int `json:"labels"`
-	Invariants int `json:"invariants"`
-	Points     int `json:"points"`
-	// Holds: every invariant proven (the bench seeds no violations, so
-	// anything else is a verifier regression).
-	Holds      bool    `json:"holds"`
-	TotalNs    int64   `json:"total_ns"`
-	NsPerPoint float64 `json:"ns_per_point"`
-}
-
-// VerifyScaleReport is the full verifier-scale measurement.
-type VerifyScaleReport struct {
-	BenchEnv
-	BudgetNs int64             `json:"budget_ns"`
-	Cells    []VerifyScaleCell `json:"cells"`
-}
-
-// WithinBudget reports whether the largest swept cell finished inside
-// VerifyBudget.
-func (rep *VerifyScaleReport) WithinBudget() bool {
-	for _, c := range rep.Cells {
-		if c.TotalNs > rep.BudgetNs {
-			return false
+// sweepCell sweeps the bench invariants over a synthetic scale base of
+// s.Rules rules and times the full Check pass (after one warm-up sweep, so
+// lazily derived engine state is settled). One op is one abstract point;
+// the cell counts the invariants, those not proven definitely (the bench
+// seeds no violations, so any is a verifier regression), the interned
+// labels and the sweep's wall clock.
+func sweepCell(s Spec, _ Opts) []Cell {
+	invs := must(pfverify.ParseInvariants("<verifyscale>", verifyInvariants))
+	cfg := pf.Optimized()
+	w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
+	must(w.InstallRules(append(append([]string{}, verifyGuardRules...), rulegen.ScaleRuleBase(1, s.Rules)...)))
+	tbl := w.K.Policy.SIDs()
+	pfverify.Check(pfverify.FromEngine(w.Engine), tbl, invs) // warm-up
+	t0 := time.Now()
+	chk := pfverify.Check(pfverify.FromEngine(w.Engine), tbl, invs)
+	elapsed := float64(time.Since(t0).Nanoseconds())
+	unproved := 0
+	for _, res := range chk.Results {
+		if !res.Holds || !res.Definitely {
+			unproved++
 		}
 	}
-	return true
-}
-
-// RunVerifyScale sweeps the bench invariants over synthetic rule bases of
-// each size and times the full Check pass (one warm-up sweep per cell, so
-// lazily-derived engine state is settled before the measured run).
-func RunVerifyScale(sizes []int) VerifyScaleReport {
-	if len(sizes) == 0 {
-		sizes = VerifyScaleSizes
-	}
-	rep := VerifyScaleReport{BenchEnv: Env(), BudgetNs: VerifyBudget.Nanoseconds()}
-	invs, err := pfverify.ParseInvariants("<verifyscale>", verifyInvariants)
-	if err != nil {
-		panic(err)
-	}
-	for _, n := range sizes {
-		cfg := pf.Optimized()
-		w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
-		lines := append(append([]string{}, verifyGuardRules...), rulegen.ScaleRuleBase(1, n)...)
-		if _, err := w.InstallRules(lines); err != nil {
-			panic(err)
-		}
-		tbl := w.K.Policy.SIDs()
-		ev := pfverify.FromEngine(w.Engine)
-		pfverify.Check(ev, tbl, invs) // warm-up
-		t0 := time.Now()
-		chk := pfverify.Check(pfverify.FromEngine(w.Engine), tbl, invs)
-		elapsed := time.Since(t0).Nanoseconds()
-		cell := VerifyScaleCell{
-			Rules:      w.Engine.RuleCount(),
-			Labels:     len(tbl.Labels()),
-			Invariants: len(chk.Results),
-			Points:     chk.Points,
-			Holds:      true,
-			TotalNs:    elapsed,
-		}
-		for _, res := range chk.Results {
-			if !res.Holds || !res.Definitely {
-				cell.Holds = false
-			}
-		}
-		if chk.Points > 0 {
-			cell.NsPerPoint = float64(elapsed) / float64(chk.Points)
-		}
-		rep.Cells = append(rep.Cells, cell)
-	}
-	return rep
-}
-
-// FormatVerifyScale renders the sweep.
-func FormatVerifyScale(rep VerifyScaleReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Verifier scaling: full invariant sweep vs rule-base size (budget %s, NumCPU=%d GOMAXPROCS=%d)\n",
-		time.Duration(rep.BudgetNs), rep.NumCPU, rep.GOMAXPROCS)
-	fmt.Fprintf(&b, "%8s %8s %6s %8s %6s %12s %10s\n", "rules", "labels", "invs", "points", "holds", "sweep", "ns/point")
-	for _, c := range rep.Cells {
-		fmt.Fprintf(&b, "%8d %8d %6d %8d %6v %12s %10.0f\n",
-			c.Rules, c.Labels, c.Invariants, c.Points, c.Holds,
-			time.Duration(c.TotalNs).Round(time.Microsecond), c.NsPerPoint)
-	}
-	return b.String()
+	return []Cell{{
+		Workload: "sweep",
+		Rules:    w.Engine.RuleCount(),
+		Ops:      int64(chk.Points),
+		NsPerOp:  elapsed / float64(max(chk.Points, 1)),
+		Counts: map[string]float64{
+			"labels":     float64(len(tbl.Labels())),
+			"invariants": float64(len(chk.Results)),
+			"unproved":   float64(unproved),
+			"total_ns":   elapsed,
+		},
+	}}
 }

@@ -9,8 +9,6 @@
 package lmbench
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"pfirewall/internal/fleet"
@@ -19,125 +17,75 @@ import (
 	"pfirewall/internal/worldgen"
 )
 
-// WorldScaleFleets is the default fleet-size grid.
-var WorldScaleFleets = []int{4, 8}
+// worldScaleSeed drives both world generation and fleet schedules.
+const worldScaleSeed = 1
 
-// WorldScaleSizes is the default world grid: the top size crosses a
-// million inodes.
-var WorldScaleSizes = []string{"small", "medium", "large"}
-
-// WorldScaleCell is one (world size, fleet size) run.
-type WorldScaleCell struct {
-	World   string  `json:"world"`
-	Inodes  int     `json:"inodes"`
-	Users   int     `json:"users"`
-	Labels  int     `json:"labels"`
-	Rules   int     `json:"rules"`
-	BuildMs float64 `json:"build_ms"`
-
-	FleetSize int     `json:"fleet_size"`
-	Seconds   float64 `json:"seconds"`
-	Ops       int64   `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Ns     float64 `json:"p50_ns"`
-	P99Ns     float64 `json:"p99_ns"`
-	P999Ns    float64 `json:"p999_ns"`
-
-	Crashes       int64  `json:"crashes"`
-	Restarts      int64  `json:"restarts"`
-	RuleMutations uint64 `json:"rule_mutations"`
-	AdversaryOps  uint64 `json:"adversary_ops"`
-
-	ExpectedDenies    int64 `json:"expected_denies"`
-	UnexpectedAllows  int64 `json:"unexpected_allows"`
-	UnexpectedErrors  int64 `json:"unexpected_errors"`
-	VerdictsConserved bool  `json:"verdicts_conserved"`
-}
-
-// WorldScaleReport is the full sweep; BENCH_worldscale.json is this shape.
-type WorldScaleReport struct {
-	BenchEnv
-	Seed        uint64           `json:"seed"`
-	SecsPerCell float64          `json:"secs_per_cell"`
-	Cells       []WorldScaleCell `json:"cells"`
-}
-
-// RunWorldScale runs the sweep. sizes name worldgen presets, fleets are
-// instance counts, secsPerCell is the per-cell traffic budget, and seed
-// drives both world generation and fleet schedules.
-func RunWorldScale(sizes []string, fleets []int, secsPerCell float64, seed uint64) WorldScaleReport {
-	if secsPerCell <= 0 {
-		secsPerCell = 2
+// worldGrid: small, medium and large worlds (the large preset crosses a
+// million inodes) × 4- and 8-instance fleets; -smoke runs the tiny and
+// small worlds under a 2-instance fleet.
+func worldGrid(smoke bool) []Spec {
+	worlds, fleets := []string{"small", "medium", "large"}, []int{4, 8}
+	if smoke {
+		worlds, fleets = []string{"tiny", "small"}, []int{2}
 	}
-	rep := WorldScaleReport{BenchEnv: Env(), Seed: seed, SecsPerCell: secsPerCell}
-	for _, name := range sizes {
-		spec, ok := worldgen.SpecByName(name)
-		if !ok {
-			panic(fmt.Sprintf("worldscale: unknown world size %q", name))
-		}
-		spec.Seed = seed
+	var specs []Spec
+	for _, w := range worlds {
 		for _, f := range fleets {
-			// Fresh world per cell: the engine's verdict counters start at
-			// zero, so conservation and throughput are cell-local.
-			cfg := pf.Optimized()
-			w := worldgen.Build(spec, programs.WorldOpts{PF: &cfg, MACEnforcing: true})
-			fl := fleet.New(w, fleet.Config{
-				Seed:      seed,
-				Instances: f,
-				Duration:  time.Duration(secsPerCell * float64(time.Second)),
-				RuleChurn: true, ProcChurn: true, AdversaryChurn: true,
-			})
-			r := fl.Run()
-			rep.Cells = append(rep.Cells, WorldScaleCell{
-				World:   spec.Name,
-				Inodes:  w.Stats.Inodes,
-				Users:   w.Stats.Users,
-				Labels:  w.Stats.Labels,
-				Rules:   w.Stats.Rules,
-				BuildMs: w.Stats.BuildMs,
-
-				FleetSize: f,
-				Seconds:   r.Seconds,
-				Ops:       r.Ops,
-				OpsPerSec: r.OpsPerSec,
-				P50Ns:     r.P50Ns,
-				P99Ns:     r.P99Ns,
-				P999Ns:    r.P999Ns,
-
-				Crashes:       r.Crashes,
-				Restarts:      r.Restarts,
-				RuleMutations: r.RuleMutations,
-				AdversaryOps:  r.AdversaryOps,
-
-				ExpectedDenies:    r.ExpectedDenies,
-				UnexpectedAllows:  r.UnexpectedAllows,
-				UnexpectedErrors:  r.UnexpectedErrors,
-				VerdictsConserved: r.VerdictsConserved,
-			})
+			specs = append(specs, Spec{Workload: "fleet", World: w, Goroutines: f})
 		}
 	}
-	return rep
+	return specs
 }
 
-// FormatWorldScale renders the sweep as a table.
-func FormatWorldScale(rep WorldScaleReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %9s %6s %6s %9s %12s %10s %10s %10s %8s %6s\n",
-		"world", "inodes", "rules", "fleet", "ops", "ops/sec", "p50 ns", "p99 ns", "p99.9 ns", "denies", "churn")
-	for _, c := range rep.Cells {
-		churn := fmt.Sprintf("%d/%d", c.Crashes, c.Restarts)
-		fmt.Fprintf(&b, "%-8s %9d %6d %6d %9d %12.0f %10.0f %10.0f %10.0f %8d %6s",
-			c.World, c.Inodes, c.Rules, c.FleetSize, c.Ops, c.OpsPerSec,
-			c.P50Ns, c.P99Ns, c.P999Ns, c.ExpectedDenies, churn)
-		if !c.VerdictsConserved {
-			fmt.Fprintf(&b, "  VERDICTS-LOST")
-		}
-		if c.UnexpectedAllows != 0 || c.UnexpectedErrors != 0 {
-			fmt.Fprintf(&b, "  UNEXPECTED(a=%d e=%d)", c.UnexpectedAllows, c.UnexpectedErrors)
-		}
-		fmt.Fprintf(&b, "\n")
+// fleetCell serves s.Goroutines fleet instances on a fresh s.World world
+// for 2 s of churned traffic (0.3 s under -smoke). One op is a full
+// persona operation — page serve, include, login session, bus round trip.
+// lost_verdicts is requests minus accepts and drops over the cell: zero
+// when every request resolved to exactly one verdict.
+func fleetCell(s Spec, o Opts) []Cell {
+	spec, ok := worldgen.SpecByName(s.World)
+	if !ok {
+		panic("worldscale: unknown world size " + s.World)
 	}
-	fmt.Fprintf(&b, "(NumCPU=%d GOMAXPROCS=%d; one op is a full persona operation — page serve, include, login session, bus round trip — under live rule/process churn; churn is crashes/restarts)\n",
-		rep.NumCPU, rep.GOMAXPROCS)
-	return b.String()
+	spec.Seed = worldScaleSeed
+	secs := 2.0
+	if o.Smoke {
+		secs = 0.3
+	}
+	// Fresh world per cell: the engine's verdict counters start at zero, so
+	// conservation and throughput are cell-local.
+	cfg := pf.Optimized()
+	w := worldgen.Build(spec, programs.WorldOpts{PF: &cfg, MACEnforcing: true})
+	r := fleet.New(w, fleet.Config{
+		Seed:      worldScaleSeed,
+		Instances: s.Goroutines,
+		Duration:  time.Duration(secs * float64(time.Second)),
+		RuleChurn: true, ProcChurn: true, AdversaryChurn: true,
+	}).Run()
+	return []Cell{{
+		Workload:   "fleet",
+		World:      spec.Name,
+		Rules:      w.Stats.Rules,
+		Goroutines: s.Goroutines,
+		Ops:        r.Ops,
+		OpsPerSec:  r.OpsPerSec,
+		P50Ns:      r.P50Ns,
+		P99Ns:      r.P99Ns,
+		P999Ns:     r.P999Ns,
+		Counts: map[string]float64{
+			"inodes":            float64(w.Stats.Inodes),
+			"users":             float64(w.Stats.Users),
+			"labels":            float64(w.Stats.Labels),
+			"build_ms":          w.Stats.BuildMs,
+			"seconds":           r.Seconds,
+			"crashes":           float64(r.Crashes),
+			"restarts":          float64(r.Restarts),
+			"rule_mutations":    float64(r.RuleMutations),
+			"adversary_ops":     float64(r.AdversaryOps),
+			"expected_denies":   float64(r.ExpectedDenies),
+			"unexpected_allows": float64(r.UnexpectedAllows),
+			"unexpected_errors": float64(r.UnexpectedErrors),
+			"lost_verdicts":     float64(r.Requests) - float64(r.Accepts) - float64(r.Drops),
+		},
+	}}
 }

@@ -173,6 +173,9 @@ func (b *Batch) Filter(req *Request) Verdict {
 				act := e.evalRule(ctx, r)
 				if !act.Final && act.Jump != "" {
 					if tgt := rs.index[act.Jump]; tgt != nil {
+						if sp != nil {
+							sp.PushChain(tgt.chain.Name)
+						}
 						act = e.run(ctx, rs, tgt)
 					}
 				}

@@ -1,9 +1,11 @@
 package pf
 
 import (
+	"slices"
 	"testing"
 
 	"pfirewall/internal/mac"
+	"pfirewall/internal/obs"
 	"pfirewall/internal/ustack"
 )
 
@@ -216,6 +218,33 @@ func TestEntrypointMatch(t *testing.T) {
 		if v := e.Filter(&Request{Proc: other, Op: OpFileOpen, Obj: evil}); v != VerdictAccept {
 			t.Errorf("cfg %+v: rule must not fire without the entrypoint", cfg)
 		}
+	}
+}
+
+// A jump from an entrypoint rule enters its target chain: the span names
+// that chain, as it names an inline jump's, and the chain counts the entry.
+func TestEntrypointJumpSpanNamesTarget(t *testing.T) {
+	pol := testPolicy()
+	e := New(pol, Optimized())
+	if err := e.NewChain("u0"); err != nil {
+		t.Fatal(err)
+	}
+	// -p /lib/ld-2.15.so -i 0x596b -j u0; u0: -j DROP
+	e.Append("input", &Rule{Program: "/lib/ld-2.15.so", Entry: 0x596b, EntrySet: true, Target: &JumpTarget{ChainName: "u0"}})
+	e.Append("u0", &Rule{Target: Drop()})
+
+	proc := newFakeProc(1, sid(pol, "httpd_t"), "/usr/bin/apache2")
+	setupLdSo(t, proc)
+	sp := &obs.Span{}
+	req := &Request{Proc: proc, Op: OpFileOpen, Obj: &fakeRes{sid: sid(pol, "tmp_t"), id: 9}, Span: sp}
+	if v := e.Filter(req); v != VerdictDrop {
+		t.Fatalf("verdict = %v, want DROP from u0", v)
+	}
+	if got, want := sp.Chains(), []string{"input", "u0"}; !slices.Equal(got, want) {
+		t.Errorf("span chains = %v, want %v", got, want)
+	}
+	if u0, _ := e.Chain("u0"); u0.Traversals.Load() != 1 {
+		t.Errorf("u0 traversals = %d, want 1", u0.Traversals.Load())
 	}
 }
 
