@@ -16,8 +16,8 @@
 # every gated bench on its trimmed -smoke grid, written to the gitignored
 # BENCH_<name>_smoke.json. Each gate runs whenever its bench runs: alloc
 # (0 allocs/op on open+close and stat, sendmmsg-8 within its budget), obs
-# (sampled tracing ≤10% in the best paired round), policy (hitless publish)
-# and verify (every invariant proves inside the budget).
+# (sampled spans ≤10% over counters only in the best paired round), policy
+# (hitless publish) and verify (every invariant proves inside the budget).
 
 GO ?= go
 
@@ -96,13 +96,14 @@ analyze: lint check verify
 bench:
 	$(GO) run ./cmd/pfbench -json table6 hotpath ipc obs rulescale alloc policy verify worldscale
 
-# The CI pass: the tracing tripwires (tracing disabled must stay at 0
-# allocs/op on the armed open path, and even TraceEvery=1 span capture must
-# not touch the heap), single-thread latency and ruleset-size flatness, the
-# parallel benchmarks with the metrics layer attached, and every gated
-# bench plus the rule-base and worldscale beds on their trimmed grids.
+# The CI pass: the observability tripwires (the armed open path stays at 0
+# allocs/op with counters only, with spans sampled at the default period
+# and at period 1, and a denied open publishing its DROP span), single-
+# thread latency and ruleset-size flatness, the parallel benchmarks with
+# the metrics layer attached, and every gated bench plus the rule-base and
+# worldscale beds on their trimmed grids.
 bench-smoke:
-	$(GO) test -run 'TestZeroAllocTracingDisabled|TestSampledTracingAllocBounded' ./internal/lmbench/
+	$(GO) test -run 'TestZeroAllocTracingDisabled|TestSampledTracingAllocBounded|TestZeroAllocDeniedOpen' ./internal/lmbench/
 	$(GO) test -run xxx -bench 'BenchmarkTable6/(stat|open\+close)/EPTSPC|BenchmarkRuleBaseScaling/eptchains' -benchtime 0.1s .
 	PFBENCH_OBS=1 $(GO) test -run xxx -bench 'BenchmarkParallel' -benchtime 100x .
 	$(GO) run ./cmd/pfbench -smoke -json obs rulescale alloc worldscale policy verify

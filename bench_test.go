@@ -53,7 +53,7 @@ func benchCell(b *testing.B, s lmbench.Spec, arm string) {
 // observability-enabled hot path against the same baseline.
 func parallelArm() string {
 	if os.Getenv("PFBENCH_OBS") == "1" {
-		return "METRICS"
+		return "OBS"
 	}
 	return "EPTSPC"
 }

@@ -3,7 +3,7 @@
 // an engine, and prints the compiled form — the workflow of the paper's
 // pftables process (Section 5.2). It doubles as the observability
 // front-end: -stats and -stats-prom export the internal/obs metrics
-// registry (counters, latency histograms, the flight recorder) after
+// registry (counters, latency histograms, the span ring) after
 // exercising a canned deterministic workload, and -listen serves the same
 // registry over HTTP.
 //
@@ -104,7 +104,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 1, "with -world: seed for the world tree and fleet schedule")
 	traceFlag := fs.Bool("trace", false, "tail sampled decision-provenance spans from the running workload over the in-simulation span stream")
 	topFlag := fs.Bool("top", false, "live fleet-wide span aggregation per tenant/persona/op (implies the workload; best with -world)")
-	traceEvery := fs.Int("trace-every", 1, "with -trace/-top: sample one syscall in N for span generation")
+	traceEvery := fs.Int("trace-every", 1, "sample one syscall in N into timed spans and the latency histograms (every DROP is a span regardless)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -119,14 +119,12 @@ func run(args []string, out io.Writer) error {
 	wopts := programs.WorldOpts{PF: &cfg}
 	var reg *obs.Registry
 	if *workload || exporting {
-		// Sample every request so the short deterministic workload
-		// populates the latency histograms, not just the counters.
+		// Sampling every syscall (the default) lets the short
+		// deterministic workload populate the latency histograms and time
+		// every span, not just count.
 		reg = obs.New()
 		wopts.Obs = reg
-		wopts.ObsEvery = 1
-	}
-	if tracing {
-		wopts.TraceEvery = *traceEvery
+		wopts.ObsEvery = *traceEvery
 	}
 	var w *programs.World
 	var gw *worldgen.World
@@ -300,7 +298,7 @@ func run(args []string, out io.Writer) error {
 // through the firewall so every exported metric family has data: trusted
 // file opens (FILE_OPEN accepts), an abstract-socket echo session
 // (SOCKET_SENDMSG / RECVMSG), and an adversary link-following attack that
-// the rule base drops (populating the flight recorder and denial log).
+// the rule base drops (populating the span ring's DROPs and denial log).
 func runWorkload(w *programs.World) {
 	sshd := w.NewProc(kernel.ProcSpec{UID: 0, GID: 0, Label: "sshd_t", Exec: programs.BinSshd})
 	for i := 0; i < 8; i++ {
@@ -421,8 +419,8 @@ func runTraced(out io.Writer, w *programs.World, gw *worldgen.World, instances i
 }
 
 // formatSpan renders one provenance span as a human-readable -trace line:
-// identity, decision, the deciding rule's source position, and the
-// per-layer latency split.
+// identity, decision, the deciding rule's source position, and — for a
+// timed span — the per-layer latency split.
 func formatSpan(sp *obs.Span) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "#%d pid=%d %s %s %s", sp.Seq, sp.PID, sp.Subject, sp.Syscall, sp.Op)
@@ -433,9 +431,11 @@ func formatSpan(sp *obs.Span) string {
 	if src := sp.RuleSrc(); src != "" {
 		fmt.Fprintf(&b, " rule=%s(%s)", src, sp.RuleTarget)
 	}
-	fmt.Fprintf(&b, " kernel=%s check=%s gauntlet=%s total=%s",
-		time.Duration(sp.KernelNs), time.Duration(sp.CheckNs),
-		time.Duration(sp.GauntletNs), time.Duration(sp.TotalNs))
+	if sp.Flags&obs.SpanUntimed == 0 {
+		fmt.Fprintf(&b, " kernel=%s check=%s gauntlet=%s total=%s",
+			time.Duration(sp.KernelNs), time.Duration(sp.CheckNs),
+			time.Duration(sp.GauntletNs), time.Duration(sp.TotalNs))
+	}
 	if names := sp.Flags.Names(); len(names) > 0 {
 		fmt.Fprintf(&b, " [%s]", strings.Join(names, ","))
 	}
@@ -449,8 +449,10 @@ type topKey struct {
 	Op      string
 }
 
-// topRow accumulates spans for one key; latency quantiles reuse the obs
-// histogram bucketing so -top and -stats agree on the estimate.
+// topRow accumulates spans for one key: every span counts, every DROP
+// span is a deny, and the latency quantiles aggregate the timed spans,
+// reusing the obs histogram bucketing so -top and -stats agree on the
+// estimate.
 type topRow struct {
 	count uint64
 	drops uint64
@@ -490,6 +492,9 @@ func (a *topAgg) add(sp *obs.Span) {
 	r.count++
 	if sp.Verdict == "DROP" {
 		r.drops++
+	}
+	if sp.Flags&obs.SpanUntimed != 0 {
+		return
 	}
 	r.hist.Count++
 	r.hist.Sum += sp.TotalNs

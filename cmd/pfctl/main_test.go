@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"pfirewall/internal/obs"
 )
 
 // TestListGolden pins the -L output format: per-rule hit counters,
@@ -108,10 +110,14 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if got := med["op=SOCKET_SENDMSG,verdict=ACCEPT"].(float64); got != 8 {
 		t.Errorf("SOCKET_SENDMSG accepts = %v, want 8", got)
 	}
-	rings := metrics["rings"].(map[string]any)
-	drop := rings["pf_flight_drop"].(map[string]any)
-	if got := drop["total"].(float64); got < 1 {
-		t.Errorf("flight recorder captured no drops: %v", drop)
+	var drop map[string]any
+	for _, sp := range metrics["spans"].(map[string]any)["pf_spans"].(map[string]any)["recent"].([]any) {
+		if sp := sp.(map[string]any); sp["verdict"] == "DROP" {
+			drop = sp
+		}
+	}
+	if drop == nil {
+		t.Error("span ring captured no drops")
 	}
 	denials, ok := doc["denials"].([]any)
 	if !ok || len(denials) == 0 {
@@ -404,5 +410,39 @@ func TestVerifyWorldgenTenantInvariant(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "invariant tenant-home-no-serve: holds") {
 		t.Errorf("tenant invariant not proven:\n%s", buf.String())
+	}
+}
+
+// TestUntimedDropSpan: a DROP outside a sampled syscall reaches -trace and
+// -top as an untimed span. -trace prints it with its deciding rule and no
+// latency split; -top counts it as a span and a deny, while its P50/P99
+// aggregate only the timed spans.
+func TestUntimedDropSpan(t *testing.T) {
+	untimed := obs.Span{
+		Seq: 7, PID: 3, Flags: obs.SpanRuleDecided | obs.SpanUntimed,
+		Syscall: "open", Op: "LNK_FILE_READ", Verdict: "DROP",
+		Subject: "sshd_t", Path: "/tmp/trap",
+		RuleFile: "<standard>", RuleLine: 13, RuleTarget: "DROP",
+	}
+	line := formatSpan(&untimed)
+	if want := "#7 pid=3 sshd_t open LNK_FILE_READ /tmp/trap -> DROP rule=<standard>:13(DROP) [rule_decided,untimed]"; line != want {
+		t.Errorf("untimed DROP line:\n got %s\nwant %s", line, want)
+	}
+	timed := untimed
+	timed.Flags = obs.SpanRuleDecided
+	timed.TotalNs = 3000
+	if line := formatSpan(&timed); !strings.Contains(line, " total=3µs") {
+		t.Errorf("timed DROP line lacks its split: %s", line)
+	}
+
+	agg := newTopAgg()
+	agg.add(&untimed)
+	agg.add(&timed)
+	r := agg.rows[topKey{Tenant: "-", Persona: "sshd_t", Op: "LNK_FILE_READ"}]
+	if r == nil || r.count != 2 || r.drops != 2 {
+		t.Fatalf("-top row = %+v, want 2 spans and 2 denies", r)
+	}
+	if r.hist.Count != 1 || r.hist.Quantile(0.5) != 4096 {
+		t.Errorf("-top latency = %d samples, p50 %dns; want the one timed span (3µs, bucket 4096ns)", r.hist.Count, r.hist.Quantile(0.5))
 	}
 }

@@ -36,15 +36,17 @@ type medState struct {
 	prev        *medState // enclosing syscall's scratch (signal re-entry)
 	batchActive bool
 
-	// Decision-provenance tracing scratch. tracer is non-nil exactly when
-	// this syscall was trace-sampled at entry; the span record is embedded
-	// by value, so arming, filling, and publishing (a value copy into the
-	// tracer ring) allocate nothing. With tracing disabled every filter
-	// site pays one nil check.
-	tracer     *obs.Tracer
+	// Span scratch. ob is non-nil exactly when this syscall was sampled at
+	// entry: every request it mediates carries a timed span, embedded here
+	// by value, and the latency histograms observe that span's stamps.
+	// Outside a sampled syscall only a DROP publishes a span, untimed
+	// (dropSpan). Arming, filling and publishing (a value copy into the
+	// tracer ring) allocate nothing; an unsampled accept pays one nil
+	// check per filter site.
+	ob         *kernelObs
 	span       obs.Span
 	spanT0     int64  // syscall entry stamp (obs.MonoNow)
-	medT0      int64  // current mediation's entry stamp (zero outside a vfs wrapper)
+	medT0      int64  // open mediation's entry stamp (zero once it is timed)
 	gT0        int64  // current request's gauntlet-entry stamp
 	syscallSeq uint64 // kernel-wide syscall ordinal (groups batch members)
 	spanIdx    uint32 // requests spanned so far in this syscall
@@ -102,20 +104,44 @@ func (p *Proc) exitSyscall() {
 	ms.resolved.Trail = ms.resolved.Trail[:0]
 	ms.resolved.DcacheHits, ms.resolved.DcacheMisses = 0, 0
 	ms.prev = nil
-	ms.tracer = nil
-	ms.span = obs.Span{}
-	ms.spanT0, ms.medT0, ms.gT0 = 0, 0, 0
-	ms.syscallSeq, ms.spanIdx = 0, 0
-	ms.dcHits, ms.dcMisses = 0, 0
+	if ms.ob != nil {
+		ms.ob = nil
+		ms.span = obs.Span{}
+		ms.spanT0, ms.gT0 = 0, 0
+		ms.syscallSeq, ms.spanIdx = 0, 0
+		ms.dcHits, ms.dcMisses = 0, 0
+	}
 	p.medFree = append(p.medFree, ms)
+}
+
+// filter runs the armed request through the syscall's batch and publishes
+// its span: timed when the syscall was sampled, untimed for a DROP
+// otherwise.
+func (ms *medState) filter() pf.Verdict {
+	if ms.ob == nil {
+		v := ms.b.Filter(&ms.req)
+		if v == pf.VerdictDrop {
+			ms.p.dropSpan(ms.nr, &ms.req)
+		}
+		return v
+	}
+	ms.beginSpan()
+	v := ms.b.Filter(&ms.req)
+	ms.endSpan(v)
+	return v
 }
 
 // beginSpan fills the provenance header for the request about to enter the
 // gauntlet and arms ms.req.Span so the engine annotates it in place. Every
 // string stored is interned or pre-existing; no allocation occurs. Called
-// only when ms.tracer != nil.
-func (ms *medState) beginSpan(op pf.Op, path string) {
-	now := obs.MonoNow()
+// only on a sampled syscall.
+func (ms *medState) beginSpan() {
+	now := ms.spanT0
+	if ms.req.Op != pf.OpSyscallBegin {
+		// The syscall-begin probe runs at syscall entry and reuses the
+		// entry stamp; every later request reads the clock.
+		now = obs.MonoNow()
+	}
 	sp := &ms.span
 	*sp = obs.Span{}
 	sp.PID = ms.p.pid
@@ -125,18 +151,17 @@ func (ms *medState) beginSpan(op pf.Op, path string) {
 		sp.Flags |= obs.SpanBatch
 	}
 	sp.Syscall = ms.nr.String()
-	sp.Op = op.String()
-	sp.Path = path
+	sp.Op = ms.req.Op.String()
+	if ms.req.Obj != nil {
+		sp.Path = ms.req.Obj.Path()
+	}
 	sp.Subject = ms.p.subject
 	sp.KernelNs = uint64(now - ms.spanT0)
 	if ms.medT0 != 0 {
 		// The request came through the vfs mediation wrapper: DAC and MAC
-		// ran between medT0 and now. Consume the stamp so a mediation whose
-		// op the firewall skips (MayFilter false) cannot leak its stamp
-		// into a later request's split.
+		// ran between medT0 and now.
 		sp.CheckNs = uint64(now - ms.medT0)
 		sp.KernelNs = uint64(ms.medT0 - ms.spanT0)
-		ms.medT0 = 0
 	}
 	// Dentry-cache lookups performed since the previous span are the ones
 	// that located this request's object; attribute them here and advance
@@ -152,9 +177,9 @@ func (ms *medState) beginSpan(op pf.Op, path string) {
 	ms.req.Span = sp
 }
 
-// endSpan stamps verdict and latency totals, disarms the request, and
-// publishes the span (a value copy into the tracer ring and any
-// subscriber buffers).
+// endSpan stamps verdict, deciding rule and latency totals, disarms the
+// request, feeds the gauntlet histogram, and publishes the span (a value
+// copy into the tracer ring and any subscriber buffers).
 func (ms *medState) endSpan(v pf.Verdict) {
 	sp := &ms.span
 	now := obs.MonoNow()
@@ -166,9 +191,53 @@ func (ms *medState) endSpan(v pf.Verdict) {
 	sp.GauntletNs = uint64(now - ms.gT0)
 	sp.TotalNs = sp.CheckNs + sp.GauntletNs
 	sp.TimeUnixNano = obs.WallNano(now)
+	spanRule(sp, ms.req.Decider)
 	ms.spanIdx++
 	ms.req.Span = nil
-	ms.tracer.Publish(sp)
+	ms.b.ObserveLatency(ms.req.Op, sp.GauntletNs)
+	if ms.medT0 != 0 {
+		// The verdict ends the vfs mediation this request came through: its
+		// latency is the span's total.
+		ms.ob.medLatency.Observe(ms.p.pid, sp.TotalNs)
+		ms.medT0 = 0
+	}
+	ms.ob.tracer.Publish(sp)
+}
+
+// dropSpan publishes a DROP outside a sampled syscall as an untimed span:
+// who asked for what, and the rule that refused it, stamped once with the
+// wall clock. Every DROP is published — the tracer ring is the flight
+// recorder an operator reviews.
+func (p *Proc) dropSpan(nr Syscall, req *pf.Request) {
+	ob := p.k.obs.Load()
+	if ob == nil {
+		return
+	}
+	sp := obs.Span{
+		TimeUnixNano: obs.WallNano(obs.MonoNow()),
+		PID:          p.pid,
+		Flags:        obs.SpanUntimed,
+		Syscall:      nr.String(),
+		Op:           req.Op.String(),
+		Verdict:      pf.VerdictDrop.String(),
+		Subject:      p.subject,
+	}
+	if req.Obj != nil {
+		sp.Path = req.Obj.Path()
+	}
+	spanRule(&sp, req.Decider)
+	ob.tracer.Publish(&sp)
+}
+
+// spanRule records the rule that decided a request; r is nil when the
+// default accept applied.
+func spanRule(sp *obs.Span, r *pf.Rule) {
+	if r == nil {
+		return
+	}
+	sp.Flags |= obs.SpanRuleDecided
+	sp.RuleFile, sp.RuleLine, sp.RuleCol = r.Src.File, r.Src.Line, r.Src.Col
+	sp.RuleTarget = r.Target.TargetName()
 }
 
 // pfObj names the object of one firewall consultation, in exactly one of
@@ -227,6 +296,7 @@ func (p *Proc) pfFilter(op pf.Op, obj pfObj, nr Syscall) error {
 	if ms == nil || !ms.batchActive {
 		req := pf.Request{Proc: p, Op: op, Obj: obj.fill(p.k, nil), SyscallNR: int(nr)}
 		if pfe.Filter(&req) == pf.VerdictDrop {
+			p.dropSpan(nr, &req)
 			return ErrPFDenied
 		}
 		return nil
@@ -236,14 +306,7 @@ func (p *Proc) pfFilter(op pf.Op, obj pfObj, nr Syscall) error {
 	ms.req.Op = op
 	ms.req.Obj = obj.fill(p.k, ms)
 	ms.req.SyscallNR = int(nr)
-	if ms.tracer != nil {
-		ms.beginSpan(op, ms.req.Obj.Path())
-	}
-	v := ms.b.Filter(&ms.req)
-	if ms.tracer != nil {
-		ms.endSpan(v)
-	}
-	if v == pf.VerdictDrop {
+	if ms.filter() == pf.VerdictDrop {
 		return ErrPFDenied
 	}
 	return nil

@@ -65,7 +65,9 @@ const (
 	nrCount
 )
 
-var syscallNames = map[Syscall]string{
+// syscallNames is indexed by number, so naming a span's syscall is one
+// bounds-checked load.
+var syscallNames = [nrCount]string{
 	NrOpen: "open", NrClose: "close", NrRead: "read", NrWrite: "write",
 	NrStat: "stat", NrLstat: "lstat", NrFstat: "fstat", NrAccess: "access",
 	NrUnlink: "unlink", NrMkdir: "mkdir", NrRmdir: "rmdir",
@@ -81,8 +83,8 @@ var syscallNames = map[Syscall]string{
 
 // String returns the syscall name.
 func (s Syscall) String() string {
-	if n, ok := syscallNames[s]; ok {
-		return n
+	if s < nrCount && syscallNames[s] != "" {
+		return syscallNames[s]
 	}
 	return "syscall(?)"
 }
@@ -92,7 +94,9 @@ func (s Syscall) String() string {
 func SyscallNames() map[string]int {
 	out := make(map[string]int, len(syscallNames))
 	for nr, name := range syscallNames {
-		out[name] = int(nr)
+		if name != "" {
+			out[name] = nr
+		}
 	}
 	return out
 }

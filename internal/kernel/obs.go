@@ -2,52 +2,34 @@ package kernel
 
 import (
 	"pfirewall/internal/obs"
-	"pfirewall/internal/pf"
 )
 
 // kernelObs is the kernel's attached instrumentation: a per-syscall
-// counter array indexed directly by syscall number and a sampled
-// histogram over the whole mediation gauntlet (DAC → MAC → PF) of one
-// object access. As in the PF engine, one atomic pointer load decides
-// whether any of it runs.
+// counter array indexed directly by syscall number, the sampling mask, the
+// mediation latency histogram and the span tracer. As in the PF engine,
+// one atomic pointer load decides whether any of it runs.
 type kernelObs struct {
 	syscalls [nrCount]*obs.Counter
-	// sampleMask gates latency timestamps against MediationCount — a
-	// counter mediate bumps regardless, so the sampling decision reuses
-	// that read-modify-write instead of adding one.
+	// sampleMask selects, against SyscallCount (a counter syscall entry
+	// bumps regardless), the syscalls whose requests carry timed spans;
+	// the latency histograms observe those spans' stamps and nothing else.
 	sampleMask uint64
 	medLatency *obs.Histogram
-
-	// tracer, when non-nil, receives decision-provenance spans from
-	// syscalls selected by traceMask against SyscallCount (the same
-	// piggybacked sampling as the latency histogram). Nil means tracing is
-	// disabled and every syscall pays exactly one nil check.
-	tracer    *obs.Tracer
-	traceMask uint64
+	// tracer receives every timed span and every DROP's span.
+	tracer *obs.Tracer
 }
 
-// ObsConfig configures kernel-level observability; SampleEvery, RingSize,
-// and RecordAccepts are forwarded to the engine's AttachObs.
+// ObsConfig configures kernel-level observability.
 type ObsConfig struct {
-	// SampleEvery throttles latency timestamps (default 16; 1 samples
-	// everything). Shared by the kernel mediation histogram and the PF
-	// gauntlet histograms.
+	// SampleEvery samples one syscall in SampleEvery (default 16; 1
+	// samples every syscall): each request it mediates carries a timed
+	// span, which the kernel and PF latency histograms observe.
 	SampleEvery int
-	// RingSize is the PF flight-recorder capacity (see pf.ObsConfig).
-	RingSize int
-	// RecordAccepts mirrors pf.ObsConfig.RecordAccepts.
-	RecordAccepts bool
-	// TraceEvery samples one syscall in TraceEvery for decision-provenance
-	// tracing (every request the sampled syscall mediates carries a span).
-	// 0 disables tracing entirely; 1 traces every syscall.
-	TraceEvery int
-	// TraceRing is the span flight-recorder capacity (default 256).
-	TraceRing int
 }
 
 // AttachObs registers the whole mediation stack's metric series on reg:
-// kernel syscall/mediation counters and latency, the vfs dcache
-// statistics, the MAC adversary-cache statistics, the IPC registry
+// kernel syscall/mediation counters and latency, the span tracer, the vfs
+// dcache statistics, the MAC adversary-cache statistics, the IPC registry
 // statistics, and — when a PF engine is attached — the engine's own
 // series. Call after AttachPF.
 func (k *Kernel) AttachObs(reg *obs.Registry, cfg ObsConfig) {
@@ -58,19 +40,16 @@ func (k *Kernel) AttachObs(reg *obs.Registry, cfg ObsConfig) {
 		sampleMask: obs.SampleMask(cfg.SampleEvery),
 		medLatency: reg.Histogram("kernel_mediation_latency_ns",
 			"Sampled latency of one object-access mediation (DAC, MAC, PF), in nanoseconds."),
+		tracer: reg.Tracer("pf_spans", obs.TraceConfig{}),
 	}
-	if cfg.TraceEvery > 0 {
-		ob.tracer = reg.Tracer("pf_spans", obs.TraceConfig{RingSize: cfg.TraceRing})
-		ob.traceMask = obs.SampleMask(cfg.TraceEvery)
-		reg.CounterFunc("trace_spans_total",
-			"Decision-provenance spans published.", ob.tracer.Total)
-		reg.CounterFunc("trace_span_drops_total",
-			"Spans dropped on full subscriber buffers.", ob.tracer.Dropped)
-		reg.GaugeFunc("trace_subscribers",
-			"Live span-stream subscriptions.", func() uint64 {
-				return uint64(ob.tracer.Subscribers())
-			})
-	}
+	reg.CounterFunc("trace_spans_total",
+		"Decision-provenance spans published.", ob.tracer.Total)
+	reg.CounterFunc("trace_span_drops_total",
+		"Spans dropped on full subscriber buffers.", ob.tracer.Dropped)
+	reg.GaugeFunc("trace_subscribers",
+		"Live span-stream subscriptions.", func() uint64 {
+			return uint64(ob.tracer.Subscribers())
+		})
 	for nr := Syscall(1); nr < nrCount; nr++ {
 		ob.syscalls[nr] = reg.Counter("kernel_syscalls_total",
 			"Syscalls dispatched by number.", obs.L("nr", nr.String()))
@@ -107,16 +86,12 @@ func (k *Kernel) AttachObs(reg *obs.Registry, cfg ObsConfig) {
 
 	k.obs.Store(ob)
 	if k.PF != nil {
-		k.PF.AttachObs(reg, pf.ObsConfig{
-			SampleEvery:   cfg.SampleEvery,
-			RingSize:      cfg.RingSize,
-			RecordAccepts: cfg.RecordAccepts,
-		})
+		k.PF.AttachObs(reg)
 	}
 }
 
 // Tracer returns the attached decision-provenance tracer, or nil when
-// observability is not attached or tracing is disabled.
+// observability is not attached.
 func (k *Kernel) Tracer() *obs.Tracer {
 	if ob := k.obs.Load(); ob != nil {
 		return ob.tracer

@@ -291,11 +291,11 @@ func (p *Proc) enterSyscall(nr Syscall, args ...uint64) error {
 	}
 	p.ps.BeginSyscall()
 	ms := p.acquireMed(nr)
-	if ob != nil && ob.tracer != nil && n&ob.traceMask == 0 {
-		// Trace-sampled syscall: every request it mediates will carry a
-		// provenance span. The sampling decision rides the syscall counter
-		// this entry incremented anyway, mirroring the latency sampler.
-		ms.tracer = ob.tracer
+	if ob != nil && n&ob.sampleMask == 0 {
+		// Sampled syscall: every request it mediates carries a timed span,
+		// and the latency histograms observe its stamps. The decision rides
+		// the syscall counter this entry incremented anyway.
+		ms.ob = ob
 		ms.spanT0 = obs.MonoNow()
 		ms.syscallSeq = n
 	}
@@ -310,14 +310,7 @@ func (p *Proc) enterSyscall(nr Syscall, args ...uint64) error {
 			ms.req.Op = pf.OpSyscallBegin
 			ms.req.SyscallNR = int(nr)
 			ms.req.SetArgs(args...)
-			if ms.tracer != nil {
-				ms.beginSpan(pf.OpSyscallBegin, "")
-			}
-			v := ms.b.Filter(&ms.req)
-			if ms.tracer != nil {
-				ms.endSpan(v)
-			}
-			if v == pf.VerdictDrop {
+			if ms.filter() == pf.VerdictDrop {
 				p.exitSyscall()
 				return ErrPFDenied
 			}
@@ -361,25 +354,25 @@ func (p *Proc) mediator(nr Syscall) vfs.Mediator {
 	})
 }
 
-// mediate authorizes one object access, timing a sample of the full
-// gauntlet (DAC → MAC → PF) when observability is attached. The sampling
-// decision rides on MediationCount, which mediation maintains regardless,
-// so the disabled path costs one pointer load and the enabled path adds no
-// extra read-modify-write.
+// mediate authorizes one object access. Inside a sampled syscall it also
+// stamps the mediation's start, so the request's span can split DAC+MAC
+// from gauntlet time, and times the whole gauntlet (DAC → MAC → PF) into
+// the mediation histogram — whether or not the firewall filters its op.
+// A span that closes the mediation observes its own total and consumes
+// the stamp (endSpan); otherwise the stamp is timed and cleared here, so a
+// mediation the firewall skips leaves nothing for a later request's split.
 func (p *Proc) mediate(nr Syscall, a vfs.Access) error {
-	n := p.k.MediationCount.Add(1)
-	ob := p.k.obs.Load()
-	if ms := p.curMed; ms != nil && ms.tracer != nil {
-		// Trace-sampled syscall: stamp this mediation's start so the span
-		// can split DAC+MAC time from gauntlet time.
-		ms.medT0 = obs.MonoNow()
-	}
-	if ob == nil || n&ob.sampleMask != 0 {
+	p.k.MediationCount.Add(1)
+	ms := p.curMed
+	if ms == nil || ms.ob == nil {
 		return p.mediate1(nr, a)
 	}
-	t0 := obs.MonoNow()
+	ms.medT0 = obs.MonoNow()
 	err := p.mediate1(nr, a)
-	ob.medLatency.Observe(p.pid, uint64(obs.MonoNow()-t0))
+	if ms.medT0 != 0 {
+		ms.ob.medLatency.Observe(p.pid, uint64(obs.MonoNow()-ms.medT0))
+		ms.medT0 = 0
+	}
 	return err
 }
 

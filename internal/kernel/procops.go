@@ -206,13 +206,14 @@ func (p *Proc) Kill(pid, sig int) error {
 	if p.EUID != 0 && p.EUID != target.UID && p.UID != target.UID {
 		return vfs.ErrPerm
 	}
-	return p.k.deliverSignal(target, sig)
+	return p.k.deliverSignal(target, sig, p.curMed)
 }
 
 // deliverSignal delivers sig to target synchronously, consulting the
 // Process Firewall with the target as subject. The handler runs on the
-// caller's flow; nested deliveries model handler preemption.
-func (k *Kernel) deliverSignal(target *Proc, sig int) error {
+// caller's flow; nested deliveries model handler preemption. kill is the
+// sending syscall's scratch, whose sampling decision the delivery shares.
+func (k *Kernel) deliverSignal(target *Proc, sig int, kill *medState) error {
 	if target.blocked[sig] && sig != SIGKILL && sig != SIGSTOP {
 		// Blocked signals stay pending; the simulation drops them, which
 		// suffices for the race experiments (a blocked signal cannot
@@ -225,7 +226,12 @@ func (k *Kernel) deliverSignal(target *Proc, sig int) error {
 		// the target's pool (pushed above any syscall it is presently inside
 		// — delivery is synchronous on this flow, so the LIFO holds) and
 		// release it before the handler runs its own syscalls.
-		ms := target.acquireMed(NrInvalid)
+		ms := target.acquireMed(NrKill)
+		if kill != nil && kill.ob != nil {
+			// The last request of a sampled kill: its span is timed from
+			// the kill's entry and follows the kill's spans in its batch.
+			ms.ob, ms.spanT0, ms.syscallSeq, ms.spanIdx = kill.ob, kill.spanT0, kill.syscallSeq, kill.spanIdx
+		}
 		pfe.StartBatch(&ms.b, target)
 		ms.batchActive = true
 		ms.sigRes = signalResource{sig: sig, target: target}
@@ -239,7 +245,7 @@ func (k *Kernel) deliverSignal(target *Proc, sig int) error {
 		ms.req.Op = pf.OpSignalDeliver
 		ms.req.Obj = &ms.sigRes
 		ms.req.Sig = &ms.sig
-		v := ms.b.Filter(&ms.req)
+		v := ms.filter()
 		target.exitSyscall()
 		if v == pf.VerdictDrop {
 			return ErrPFDenied

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"pfirewall/internal/obs"
@@ -11,8 +13,8 @@ import (
 
 // traceWorld attaches an optimized engine with a positioned DROP rule on
 // tmp_t opens plus a DIR_SEARCH ACCEPT (so path-walk mediations produce
-// spans too), and turns tracing on for every syscall.
-func traceWorld(t *testing.T, traceEvery int) (*Kernel, *obs.Registry) {
+// spans too), and samples one syscall in every.
+func traceWorld(t *testing.T, every int) (*Kernel, *obs.Registry) {
 	t.Helper()
 	k := newWorld(t)
 	engine := pf.New(k.Policy, pf.Optimized())
@@ -28,7 +30,7 @@ func traceWorld(t *testing.T, traceEvery int) (*Kernel, *obs.Registry) {
 	}
 	k.AttachPF(engine)
 	reg := obs.New()
-	k.AttachObs(reg, ObsConfig{SampleEvery: 1, TraceEvery: traceEvery})
+	k.AttachObs(reg, ObsConfig{SampleEvery: every})
 	return k, reg
 }
 
@@ -175,7 +177,7 @@ func TestTraceAdvCacheBits(t *testing.T) {
 	}
 	k.AttachPF(engine)
 	reg := obs.New()
-	k.AttachObs(reg, ObsConfig{SampleEvery: 1, TraceEvery: 1})
+	k.AttachObs(reg, ObsConfig{SampleEvery: 1})
 
 	root := newRoot(k, "httpd_t", "/usr/bin/apache2")
 	// First open computes adversary accessibility (miss), second is served
@@ -207,12 +209,12 @@ func TestTraceAdvCacheBits(t *testing.T) {
 	}
 }
 
+// Without observability there is no tracer; attaching it always brings
+// one.
 func TestTraceDisabledNoTracer(t *testing.T) {
 	k := newWorld(t)
-	reg := obs.New()
-	k.AttachObs(reg, ObsConfig{SampleEvery: 1}) // TraceEvery zero: disabled
 	if k.Tracer() != nil {
-		t.Fatal("tracer attached with TraceEvery=0")
+		t.Fatal("tracer attached without observability")
 	}
 	p := newUser(k)
 	fd, err := p.Open("/tmp/f", O_CREAT|O_RDWR, 0o644)
@@ -220,6 +222,168 @@ func TestTraceDisabledNoTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = p.Close(fd)
+	k.AttachObs(obs.New(), ObsConfig{})
+	if k.Tracer() == nil {
+		t.Fatal("no tracer with observability attached")
+	}
+}
+
+// drain empties a subscription that synchronous publishes filled.
+func drain(sub *obs.SpanSub) []obs.Span {
+	var out []obs.Span
+	for {
+		select {
+		case sp := <-sub.C():
+			out = append(out, sp)
+		default:
+			return out
+		}
+	}
+}
+
+// gauntletCounts reads pf_gauntlet_latency_ns's count per op.
+func gauntletCounts(reg *obs.Registry) map[string]uint64 {
+	out := map[string]uint64{}
+	for key, hs := range reg.HistogramSnapshots("pf_gauntlet_latency_ns") {
+		out[strings.TrimPrefix(key, "op=")] = hs.Count
+	}
+	return out
+}
+
+// TestEveryDropIsASpan: 64 denied opens at the default period publish 64
+// DROP spans, each naming the deciding rule. Only the four opens the
+// period samples are timed, and the gauntlet histogram counts only those.
+func TestEveryDropIsASpan(t *testing.T) {
+	k, reg := traceWorld(t, 16)
+	root := newRoot(k, "httpd_t", "/usr/bin/apache2")
+	fd, err := root.Open("/tmp/trap", O_CREAT|O_RDWR, 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = root.Close(fd)
+	p := newUser(k)
+	sub := k.Tracer().SubscribeBuf(1024)
+	before := gauntletCounts(reg)["FILE_OPEN"]
+	for i := 0; i < 64; i++ {
+		if _, err := p.Open("/tmp/trap", O_RDONLY, 0); !errors.Is(err, ErrPFDenied) {
+			t.Fatalf("open %d: %v, want ErrPFDenied", i, err)
+		}
+	}
+	drops, timed := 0, 0
+	for _, sp := range drain(sub) {
+		if sp.Verdict != "DROP" {
+			continue
+		}
+		drops++
+		if sp.PID != p.PID() || sp.Op != "FILE_OPEN" || sp.Path != "/tmp/trap" || sp.Syscall != "open" || sp.Subject != "user_t" {
+			t.Errorf("DROP span identity = %+v", sp)
+		}
+		if sp.RuleSrc() != "trap.pft:7:1" || sp.RuleTarget != "DROP" {
+			t.Errorf("DROP span rule = %q(%s), want trap.pft:7:1(DROP)", sp.RuleSrc(), sp.RuleTarget)
+		}
+		if sp.Flags&obs.SpanUntimed != 0 {
+			if sp.TotalNs != 0 || sp.GauntletNs != 0 || sp.KernelNs != 0 || sp.TimeUnixNano == 0 {
+				t.Errorf("untimed DROP span carries latency or lacks its stamp: %+v", sp)
+			}
+			continue
+		}
+		timed++
+		if sp.GauntletNs == 0 {
+			t.Errorf("timed DROP span without gauntlet latency: %+v", sp)
+		}
+	}
+	if drops != 64 {
+		t.Errorf("%d DROP spans for 64 denied opens, want 64", drops)
+	}
+	if timed != 4 {
+		t.Errorf("%d timed DROP spans, want the 4 sampled opens of 64 at period 16", timed)
+	}
+	if got := gauntletCounts(reg)["FILE_OPEN"] - before; got != uint64(timed) {
+		t.Errorf("FILE_OPEN gauntlet histogram grew by %d, want %d (the timed spans)", got, timed)
+	}
+}
+
+// TestHistogramsObserveTimedSpans: at period 1 every filtered request
+// carries a timed span and pf_gauntlet_latency_ns{op} counts exactly
+// those; each DROP is one span; kernel_mediation_latency_ns covers every
+// mediation of the sampled syscalls.
+func TestHistogramsObserveTimedSpans(t *testing.T) {
+	k, reg := traceWorld(t, 1)
+	sub := k.Tracer().SubscribeBuf(4096)
+	root := newRoot(k, "httpd_t", "/usr/bin/apache2")
+	fd, err := root.Open("/tmp/trap", O_CREAT|O_RDWR, 0o666)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = root.Close(fd)
+	p := newUser(k)
+	for i := 0; i < 8; i++ {
+		if _, err := p.Open("/tmp/trap", O_RDONLY, 0); !errors.Is(err, ErrPFDenied) {
+			t.Fatalf("open: %v, want ErrPFDenied", err)
+		}
+		if _, err := root.Stat("/etc/passwd"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	timed := map[string]uint64{}
+	drops := uint64(0)
+	for _, sp := range drain(sub) {
+		if sp.Flags&obs.SpanUntimed != 0 {
+			t.Errorf("untimed span at period 1: %+v", sp)
+		}
+		timed[sp.Op]++
+		if sp.Verdict == "DROP" {
+			drops++
+		}
+	}
+	counts := gauntletCounts(reg)
+	for op, n := range counts {
+		if n != timed[op] {
+			t.Errorf("pf_gauntlet_latency_ns{op=%s} count %d, want %d timed spans", op, n, timed[op])
+		}
+	}
+	if timed["FILE_OPEN"] == 0 || timed["DIR_SEARCH"] == 0 {
+		t.Errorf("timed spans by op = %v, want FILE_OPEN and DIR_SEARCH", timed)
+	}
+	if want := k.PF.Stats.Drops.Load(); drops != want {
+		t.Errorf("%d DROP spans, engine dropped %d", drops, want)
+	}
+	if med := reg.HistogramSnapshots("kernel_mediation_latency_ns")[""].Count; med != k.MediationCount.Load() {
+		t.Errorf("kernel_mediation_latency_ns count %d, want every mediation (%d)", med, k.MediationCount.Load())
+	}
+}
+
+// A mediation whose op the firewall skips (MayFilter false) leaves no
+// stamp behind: stat's FILE_GETATTR request reaches the firewall without
+// a vfs wrapper, so its span has no DAC+MAC split and its kernel time runs
+// past every (skipped) path-walk mediation up to the request itself.
+func TestSpanSplitIgnoresSkippedMediation(t *testing.T) {
+	k := newWorld(t)
+	engine := pf.New(k.Policy, pf.Optimized())
+	if _, err := pftables.Install(pfEnv(k), engine, `pftables -o FILE_GETATTR -j ACCEPT`); err != nil {
+		t.Fatal(err)
+	}
+	k.AttachPF(engine)
+	reg := obs.New()
+	k.AttachObs(reg, ObsConfig{SampleEvery: 1})
+	p := newRoot(k, "httpd_t", "/usr/bin/apache2")
+	if _, err := p.Stat("/etc/passwd"); err != nil {
+		t.Fatal(err)
+	}
+	walk := reg.HistogramSnapshots("kernel_mediation_latency_ns")[""]
+	spans := k.Tracer().Snapshot()
+	if len(spans) != 1 || spans[0].Op != "FILE_GETATTR" {
+		t.Fatalf("spans = %+v, want one FILE_GETATTR span", spans)
+	}
+	sp := spans[0]
+	if sp.CheckNs != 0 || sp.TotalNs != sp.GauntletNs {
+		t.Errorf("FILE_GETATTR span check=%dns total=%dns gauntlet=%dns: a skipped mediation's stamp leaked into its split",
+			sp.CheckNs, sp.TotalNs, sp.GauntletNs)
+	}
+	if walk.Count == 0 || sp.KernelNs < walk.Sum {
+		t.Errorf("FILE_GETATTR span kernel=%dns, want at least the %d path-walk mediations' %dns",
+			sp.KernelNs, walk.Count, walk.Sum)
+	}
 }
 
 func TestTraceSampling(t *testing.T) {
@@ -262,5 +426,60 @@ func TestTraceSampling(t *testing.T) {
 	}
 	if total*2 >= every1 {
 		t.Errorf("1-in-4 sampling published %d spans, full tracing %d; want far fewer", total, every1)
+	}
+}
+
+// A signal delivery is a request of the kill that sends it: on a sampled
+// kill it carries a timed span in the kill's batch, which the gauntlet
+// histogram observes; a delivery the firewall drops outside a sampled
+// kill is an untimed DROP span, still named by its syscall.
+func TestSignalDeliverySharesKillSampling(t *testing.T) {
+	for _, every := range []int{1, math.MaxInt} {
+		k := newWorld(t)
+		engine := pf.New(k.Policy, pf.Optimized())
+		if _, err := pftables.Install(pfEnv(k), engine, `pftables -o PROCESS_SIGNAL_DELIVERY -s httpd_t -j DROP`); err != nil {
+			t.Fatal(err)
+		}
+		k.AttachPF(engine)
+		reg := obs.New()
+		k.AttachObs(reg, ObsConfig{SampleEvery: every})
+		open := newRoot(k, "sshd_t", "/usr/sbin/sshd")
+		guarded := newRoot(k, "httpd_t", "/usr/bin/apache2")
+		root := newRoot(k, "sshd_t", "/usr/sbin/sshd")
+		if err := root.Kill(open.PID(), SIGUSR1); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Kill(guarded.PID(), SIGUSR1); !errors.Is(err, ErrPFDenied) {
+			t.Fatalf("kill httpd_t: %v, want ErrPFDenied", err)
+		}
+		timed := every == 1
+		want := []struct {
+			pid     int
+			subject string
+			verdict string
+		}{{open.PID(), "sshd_t", "ACCEPT"}, {guarded.PID(), "httpd_t", "DROP"}}
+		if !timed {
+			want = want[1:]
+		}
+		var spans []obs.Span
+		for _, sp := range k.Tracer().Snapshot() {
+			if sp.Op == "PROCESS_SIGNAL_DELIVERY" {
+				spans = append(spans, sp)
+			}
+		}
+		if len(spans) != len(want) {
+			t.Fatalf("period %d: delivery spans %+v, want %d", every, spans, len(want))
+		}
+		for i, sp := range spans {
+			if sp.Syscall != "kill" || sp.PID != want[i].pid || sp.Subject != want[i].subject || sp.Verdict != want[i].verdict {
+				t.Errorf("period %d: delivery span identity = %+v, want %+v", every, sp, want[i])
+			}
+			if (sp.Flags&obs.SpanUntimed == 0) != timed || timed && (sp.GauntletNs == 0 || sp.SyscallSeq == 0) {
+				t.Errorf("period %d: delivery span timing = %+v", every, sp)
+			}
+		}
+		if n, want := gauntletCounts(reg)["PROCESS_SIGNAL_DELIVERY"], map[bool]uint64{true: 2}[timed]; n != want {
+			t.Errorf("period %d: delivery gauntlet histogram counts %d, want %d", every, n, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package lmbench
 
 import (
+	"errors"
 	"testing"
 
 	"pfirewall/internal/kernel"
@@ -44,12 +45,12 @@ func TestZeroAllocHotPath(t *testing.T) {
 	}
 }
 
-// TestZeroAllocTracingDisabled pins the decision-provenance gate's cheap
-// side: with the metrics layer attached but TraceEvery zero, the span
-// machinery must cost nothing on the armed open+close path — the only
-// admissible residue is the single tracer-nil branch per filter site.
+// TestZeroAllocTracingDisabled pins the counters-only side of the obs
+// gate: observability attached at a period no run reaches, so no syscall
+// is sampled — the exact counters and one nil check per filter site are
+// the whole cost, and none of it allocates on the armed open+close path.
 func TestZeroAllocTracingDisabled(t *testing.T) {
-	w := World(config("METRICS"), SyntheticRuleBase(FullRuleBaseSize))
+	w := World(config("COUNTERS"), SyntheticRuleBase(FullRuleBaseSize))
 	p := BenchProc(w)
 	body := func() {
 		fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
@@ -62,31 +63,67 @@ func TestZeroAllocTracingDisabled(t *testing.T) {
 		body()
 	}
 	if avg := testing.AllocsPerRun(200, body); avg != 0 {
-		t.Errorf("open+close with tracing disabled: %.2f allocs/op, want 0", avg)
+		t.Errorf("open+close with counters only: %.2f allocs/op, want 0", avg)
 	}
 }
 
-// TestSampledTracingAllocBounded keeps the sampled side honest: with every
-// mediated syscall carrying a provenance span (TraceEvery 1, the most
-// expensive setting), steady-state span capture must stay allocation-free
-// — the span lives by value in the mediation scratch state and the flight
-// ring is preallocated.
+// TestSampledTracingAllocBounded keeps the sampled side honest: the OBS
+// arm at the default period and at period 1 (every mediated syscall
+// carrying timed spans that feed the histograms, the most expensive
+// setting) must stay allocation-free — the span lives by value in the
+// mediation scratch state and the tracer ring is preallocated.
 func TestSampledTracingAllocBounded(t *testing.T) {
-	cfg := config("TRACE")
-	cfg.TraceEvery = 1
-	w := World(cfg, SyntheticRuleBase(FullRuleBaseSize))
-	p := BenchProc(w)
-	body := func() {
-		fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
+	for _, every := range []int{obsEvery, 1} {
+		cfg := config("OBS")
+		cfg.ObsEvery = every
+		w := World(cfg, SyntheticRuleBase(FullRuleBaseSize))
+		p := BenchProc(w)
+		body := func() {
+			fd, err := p.Open("/etc/passwd", kernel.O_RDONLY, 0)
+			if err != nil {
+				panic(err)
+			}
+			p.Close(fd)
+		}
+		for i := 0; i < 64; i++ {
+			body()
+		}
+		if avg := testing.AllocsPerRun(200, body); avg != 0 {
+			t.Errorf("open+close with OBS at period %d: %.2f allocs/op, want 0", every, avg)
+		}
+	}
+}
+
+// TestZeroAllocDeniedOpen: a denied open publishes its DROP as a span —
+// timed when its syscall is sampled, untimed otherwise — and allocates
+// nothing doing so, at the default period and at period 1.
+func TestZeroAllocDeniedOpen(t *testing.T) {
+	for _, every := range []int{obsEvery, 1} {
+		cfg := config("OBS")
+		cfg.ObsEvery = every
+		w := World(cfg, SyntheticRuleBase(FullRuleBaseSize))
+		p := BenchProc(w)
+		fd, err := p.Open("/tmp/denied", kernel.O_CREAT|kernel.O_RDWR, 0o600)
 		if err != nil {
-			panic(err)
+			t.Fatal(err)
 		}
 		p.Close(fd)
-	}
-	for i := 0; i < 64; i++ {
-		body()
-	}
-	if avg := testing.AllocsPerRun(200, body); avg != 0 {
-		t.Errorf("open+close with TraceEvery=1: %.2f allocs/op, want 0", avg)
+		if _, err := w.InstallRules([]string{"pftables -o FILE_OPEN -d tmp_t -s sshd_t -j DROP"}); err != nil {
+			t.Fatal(err)
+		}
+		body := func() {
+			if _, err := p.Open("/tmp/denied", kernel.O_RDONLY, 0); !errors.Is(err, kernel.ErrPFDenied) {
+				panic(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			body()
+		}
+		if avg := testing.AllocsPerRun(200, body); avg != 0 {
+			t.Errorf("denied open with OBS at period %d: %.2f allocs/op, want 0", every, avg)
+		}
+		if drops := w.Engine.Stats.Drops.Load(); w.K.Tracer().Total() < drops {
+			t.Errorf("%d DROPs published only %d spans", drops, w.K.Tracer().Total())
+		}
 	}
 }

@@ -74,11 +74,12 @@ func Benches() []Bench {
 		{Name: "ipc", Iters: [2]int{20000, 2000}, Grid: func(bool) []Spec {
 			return armed([]string{"ipc/fs", "ipc/abstract", "ipc/port"}, fanout, "EPTSPC")
 		}},
-		// Metrics off vs on, then tracing off vs sampled on top of metrics.
+		// Observability off vs on (the full cost, reported), then
+		// counters only vs on (the sampled spans, gated).
 		{Name: "obs", Iters: [2]int{100000, 40000}, Grid: func(bool) []Spec {
-			return append(armed([]string{"open+close", "ipc/abstract"}, fanout, "EPTSPC", "METRICS"),
-				armed([]string{"open+stat+close", "ipc/abstract"}, fanout, "METRICS", "TRACE")...)
-		}, Gate: tracingGate},
+			wls := []string{"open+stat+close", "ipc/abstract"}
+			return append(armed(wls, fanout, "EPTSPC", "OBS"), armed(wls, fanout, "COUNTERS", "OBS")...)
+		}, Gate: obsGate},
 		{Name: "rulescale", Iters: [2]int{50000, 4000}, Grid: func(smoke bool) []Spec {
 			var specs []Spec
 			for _, n := range sizes(smoke) {
@@ -186,20 +187,25 @@ func allocGate(rep Report) error {
 	return nil
 }
 
-// tracingGate reads the single-goroutine file cell, which isolates
-// per-request span cost (the fan-out cells on a small box mostly measure
+// obsGate reads the single-goroutine file cell that runs OBS against
+// COUNTERS, which isolates the cost of the sampled spans and the
+// histograms they feed (the fan-out cells on a small box mostly measure
 // scheduler interference), and judges its best paired round: interference
 // inflates both sides of a round and cancels in the ratio, so only a cost
 // present in every round fails.
-func tracingGate(rep Report) error {
-	c := find(rep, "open+stat+close", "TRACE", 1)
-	if c == nil {
-		return fmt.Errorf("no single-goroutine open+stat+close TRACE cell")
+func obsGate(rep Report) error {
+	for i := 1; i < len(rep.Cells); i++ {
+		base, c := rep.Cells[i-1], rep.Cells[i]
+		if base.Config != "COUNTERS" || c.Config != "OBS" || c.Workload != "open+stat+close" ||
+			base.Workload != c.Workload || c.Goroutines != 1 || base.Goroutines != 1 {
+			continue
+		}
+		if c.BestRoundPct > 10 {
+			return fmt.Errorf("sampled spans cost %.1f%% on the open path in every round, budget 10%%", c.BestRoundPct)
+		}
+		return nil
 	}
-	if c.BestRoundPct > 10 {
-		return fmt.Errorf("sampled tracing costs %.1f%% on the open path in every round, budget 10%%", c.BestRoundPct)
-	}
-	return nil
+	return fmt.Errorf("no single-goroutine open+stat+close OBS cell paired with COUNTERS")
 }
 
 // policyGate: at deployment scale (10k rules) incremental publish beats a

@@ -79,6 +79,21 @@ func withSpeedup(t *testing.T, rep Report, speedup float64) Report {
 	return cp
 }
 
+// gated returns a copy of rep whose gated cell — single-goroutine
+// open+stat+close OBS against COUNTERS — has the given best round.
+func gated(t *testing.T, rep Report, best float64) Report {
+	t.Helper()
+	cp := clone(t, rep)
+	for i := 1; i < len(cp.Cells); i++ {
+		if c := &cp.Cells[i]; c.Config == "OBS" && c.Workload == "open+stat+close" && c.Goroutines == 1 && cp.Cells[i-1].Config == "COUNTERS" {
+			c.BestRoundPct = best
+			return cp
+		}
+	}
+	t.Fatal("no gated obs cell")
+	return cp
+}
+
 // TestGates runs every gate on its checked-in report, which must pass, and
 // on synthetic reports that each break one budget, which must fail.
 func TestGates(t *testing.T) {
@@ -98,10 +113,12 @@ func TestGates(t *testing.T) {
 		{"alloc sendmmsg over bytes", allocGate, edit(t, alloc, "sendmmsg-8", "", 0, func(c *Cell) { c.BytesPerOp = 216 }), false},
 		{"alloc without open+close", allocGate, drop(alloc, func(c Cell) bool { return c.Workload == "open+close" }), false},
 
-		{"tracing checked in", tracingGate, obs, true},
-		{"tracing over budget", tracingGate, edit(t, obs, "open+stat+close", "TRACE", 1, func(c *Cell) { c.BestRoundPct = 10.5 }), false},
-		{"tracing at budget", tracingGate, edit(t, obs, "open+stat+close", "TRACE", 1, func(c *Cell) { c.BestRoundPct = 10 }), true},
-		{"tracing without the cell", tracingGate, drop(obs, func(c Cell) bool { return c.Config == "TRACE" }), false},
+		{"obs checked in", obsGate, obs, true},
+		{"obs over budget", obsGate, gated(t, obs, 10.5), false},
+		{"obs at budget", obsGate, gated(t, obs, 10), true},
+		{"obs full cost over budget", obsGate, edit(t, obs, "open+stat+close", "OBS", 1, func(c *Cell) { c.BestRoundPct = 50 }), true},
+		{"obs without counters arm", obsGate, drop(obs, func(c Cell) bool { return c.Config == "COUNTERS" }), false},
+		{"obs without OBS arm", obsGate, drop(obs, func(c Cell) bool { return c.Config == "OBS" }), false},
 
 		{"policy checked in", policyGate, policy, true},
 		{"policy 9.9x at 10k", policyGate, withSpeedup(t, policy, 9.9), false},

@@ -12,8 +12,8 @@ import (
 func TestBenchGrids(t *testing.T) {
 	t6 := []string{"DISABLED", "BASE", "FULL", "CONCACHE", "LAZYCON", "EPTSPC"}
 	ept := []string{"EPTSPC"}
-	metrics := []string{"EPTSPC", "METRICS"}
-	trace := []string{"METRICS", "TRACE"}
+	full := []string{"EPTSPC", "OBS"}
+	sampled := []string{"COUNTERS", "OBS"}
 	publish := []string{"full", "incremental"}
 	table6 := []Spec{
 		{Workload: "null", Arms: t6, Rules: 1218, Goroutines: 1},
@@ -46,18 +46,18 @@ func TestBenchGrids(t *testing.T) {
 		{Workload: "ipc/port", Arms: ept, Rules: 1218, Goroutines: 8},
 	}
 	obs := []Spec{
-		{Workload: "open+close", Arms: metrics, Rules: 1218, Goroutines: 1},
-		{Workload: "open+close", Arms: metrics, Rules: 1218, Goroutines: 4},
-		{Workload: "open+close", Arms: metrics, Rules: 1218, Goroutines: 8},
-		{Workload: "ipc/abstract", Arms: metrics, Rules: 1218, Goroutines: 1},
-		{Workload: "ipc/abstract", Arms: metrics, Rules: 1218, Goroutines: 4},
-		{Workload: "ipc/abstract", Arms: metrics, Rules: 1218, Goroutines: 8},
-		{Workload: "open+stat+close", Arms: trace, Rules: 1218, Goroutines: 1},
-		{Workload: "open+stat+close", Arms: trace, Rules: 1218, Goroutines: 4},
-		{Workload: "open+stat+close", Arms: trace, Rules: 1218, Goroutines: 8},
-		{Workload: "ipc/abstract", Arms: trace, Rules: 1218, Goroutines: 1},
-		{Workload: "ipc/abstract", Arms: trace, Rules: 1218, Goroutines: 4},
-		{Workload: "ipc/abstract", Arms: trace, Rules: 1218, Goroutines: 8},
+		{Workload: "open+stat+close", Arms: full, Rules: 1218, Goroutines: 1},
+		{Workload: "open+stat+close", Arms: full, Rules: 1218, Goroutines: 4},
+		{Workload: "open+stat+close", Arms: full, Rules: 1218, Goroutines: 8},
+		{Workload: "ipc/abstract", Arms: full, Rules: 1218, Goroutines: 1},
+		{Workload: "ipc/abstract", Arms: full, Rules: 1218, Goroutines: 4},
+		{Workload: "ipc/abstract", Arms: full, Rules: 1218, Goroutines: 8},
+		{Workload: "open+stat+close", Arms: sampled, Rules: 1218, Goroutines: 1},
+		{Workload: "open+stat+close", Arms: sampled, Rules: 1218, Goroutines: 4},
+		{Workload: "open+stat+close", Arms: sampled, Rules: 1218, Goroutines: 8},
+		{Workload: "ipc/abstract", Arms: sampled, Rules: 1218, Goroutines: 1},
+		{Workload: "ipc/abstract", Arms: sampled, Rules: 1218, Goroutines: 4},
+		{Workload: "ipc/abstract", Arms: sampled, Rules: 1218, Goroutines: 8},
 	}
 	alloc := []Spec{
 		{Workload: "null", Arms: ept, Rules: 1218, Goroutines: 1},

@@ -13,6 +13,7 @@ package lmbench
 
 import (
 	"fmt"
+	"math"
 
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/obs"
@@ -30,19 +31,17 @@ type Config struct {
 	Rules bool
 	// Engine optimization flags.
 	Engine pf.Config
-	// Metrics attaches an obs registry sampling latency one syscall in
-	// ObsSampleEvery; TraceEvery > 0 also samples one syscall in
-	// TraceEvery into a provenance span.
-	Metrics    bool
-	TraceEvery int
+	// ObsEvery > 0 attaches an obs registry sampling one syscall in
+	// ObsEvery into timed spans, which the latency histograms observe.
+	ObsEvery int
 }
 
-// Observability sampling periods of the METRICS and TRACE arms: the
-// default latency period kernel.AttachObs applies, and one provenance
-// span per sixteen syscalls.
+// Sampling periods of the observability arms: OBS samples at the default
+// period kernel.AttachObs applies; COUNTERS attaches the same layer at a
+// period no run reaches, so it pays the exact counters and no clock.
 const (
-	ObsSampleEvery = 16
-	TraceEvery     = 16
+	obsEvery      = 16
+	countersEvery = math.MaxInt
 )
 
 // Configs returns the six Table 6 columns in paper order.
@@ -57,12 +56,12 @@ func Configs() []Config {
 	}
 }
 
-// config looks an arm up by name: a Table 6 column, METRICS (EPTSPC with
-// metrics attached) or TRACE (METRICS plus sampled provenance spans).
+// config looks an arm up by name: a Table 6 column, OBS (EPTSPC with
+// observability attached) or COUNTERS (OBS with no syscall sampled).
 func config(name string) Config {
 	cfgs := append(Configs(),
-		Config{Name: "METRICS", Attach: true, Rules: true, Engine: pf.Optimized(), Metrics: true},
-		Config{Name: "TRACE", Attach: true, Rules: true, Engine: pf.Optimized(), Metrics: true, TraceEvery: TraceEvery},
+		Config{Name: "OBS", Attach: true, Rules: true, Engine: pf.Optimized(), ObsEvery: obsEvery},
+		Config{Name: "COUNTERS", Attach: true, Rules: true, Engine: pf.Optimized(), ObsEvery: countersEvery},
 	)
 	for _, c := range cfgs {
 		if c.Name == name {
@@ -109,10 +108,9 @@ func World(cfg Config, base []string) *programs.World {
 		e := cfg.Engine
 		opts.PF = &e
 	}
-	if cfg.Metrics {
+	if cfg.ObsEvery > 0 {
 		opts.Obs = obs.New()
-		opts.ObsEvery = ObsSampleEvery
-		opts.TraceEvery = cfg.TraceEvery
+		opts.ObsEvery = cfg.ObsEvery
 	}
 	w := programs.NewWorld(opts)
 	if cfg.Rules {
@@ -202,10 +200,10 @@ func Workloads() []Workload {
 }
 
 // benchWorkloads are the beyond-the-paper bodies: the three-syscall file
-// loop the tracing comparison samples (a two-syscall loop would pin the
-// power-of-two sampling slot to one syscall, making the span rate bimodal
-// across runs), one IPC round trip per namespace, and a batched send/recv
-// burst of eight messages.
+// loop the observability comparisons sample (a two-syscall loop would pin
+// the power-of-two sampling slot to one syscall, making the span rate
+// bimodal across runs), one IPC round trip per namespace, and a batched
+// send/recv burst of eight messages.
 var benchWorkloads = []Workload{
 	{Name: "open+stat+close", Setup: func(w *programs.World, p *kernel.Proc) func() {
 		return func() {

@@ -64,15 +64,8 @@ type JSONHistogram struct {
 	Buckets map[string]uint64 `json:"buckets,omitempty"` // le -> cumulative count, empty buckets elided
 }
 
-// JSONRing is the JSON shape of one flight-recorder ring.
-type JSONRing struct {
-	Cap    int     `json:"cap"`
-	Total  uint64  `json:"total"`
-	Events []Event `json:"events"`
-}
-
 // JSONSpans is the JSON shape of one provenance tracer: its totals plus
-// the flight ring's recent spans, oldest first.
+// the flight ring's recent spans (every DROP among them), oldest first.
 type JSONSpans struct {
 	Total       uint64 `json:"total"`
 	Dropped     uint64 `json:"dropped"`
@@ -87,7 +80,6 @@ type JSONSnapshot struct {
 	Counters   map[string]map[string]uint64        `json:"counters"`
 	Gauges     map[string]map[string]uint64        `json:"gauges,omitempty"`
 	Histograms map[string]map[string]JSONHistogram `json:"histograms,omitempty"`
-	Rings      map[string]JSONRing                 `json:"rings,omitempty"`
 	Spans      map[string]JSONSpans                `json:"spans,omitempty"`
 }
 
@@ -140,16 +132,6 @@ func (r *Registry) JSON() JSONSnapshot {
 			}
 			fam[key] = m.value()
 		}
-	}
-	for _, ring := range snap.rings {
-		if doc.Rings == nil {
-			doc.Rings = map[string]JSONRing{}
-		}
-		evs := ring.Snapshot()
-		if evs == nil {
-			evs = []Event{}
-		}
-		doc.Rings[ring.name] = JSONRing{Cap: ring.Cap(), Total: ring.Total(), Events: evs}
 	}
 	for _, t := range snap.tracers {
 		if doc.Spans == nil {

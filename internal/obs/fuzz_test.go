@@ -13,9 +13,10 @@ import (
 //
 // The seed corpus (testdata/fuzz) holds the span-stream golden of
 // internal/trace, span lines captured off the stream of a tiny-world fleet
-// (a DROP with its deciding rule, an entrypoint unwind, a syscall-begin
-// probe, a batched directory search), a path past SpanChainMax, JSON null,
-// and two lines of pfctl -trace output, which are not JSON.
+// (a DROP with its deciding rule, an untimed DROP outside a sampled
+// syscall, an entrypoint unwind, a syscall-begin probe, a batched
+// directory search), a path past SpanChainMax, JSON null, and two lines of
+// pfctl -trace output, which are not JSON.
 func FuzzSpanDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var first Span

@@ -18,9 +18,11 @@
 //   - Cheap always-on subsystem counters (the vfs dcache atomics, the MAC
 //     adversary-cache counters, IPC byte counts) are not duplicated: the
 //     registry samples them at export time through CounterFunc/GaugeFunc.
-//   - Latency histograms are sampled (Sampler, default 1/16 per shard), so
-//     the enabled-metrics overhead stays within the ≤5% budget; counters
-//     are exact.
+//   - Spans (span.go) are the one timed record: the kernel samples one
+//     syscall in N at entry, every request of a sampled syscall carries a
+//     timed span, and the latency histograms observe those spans' stamps;
+//     counters are exact. The tracer's ring is the flight recorder, and
+//     every DROP is published there as a span, timed or not.
 //   - The disabled path is a single nil check at each instrumentation
 //     point: a system built without a registry pays one predictable branch.
 //
@@ -135,7 +137,6 @@ func seriesKey(name string, labels []Label) string {
 // snapshot is the immutable export view.
 type snapshot struct {
 	metrics []*metric // sorted by (name, labelString)
-	rings   []*Ring   // sorted by name
 	tracers []*Tracer // sorted by name
 }
 
@@ -145,7 +146,6 @@ type Registry struct {
 	mu       sync.Mutex
 	byKey    map[string]*metric
 	byFamily map[string]kind // metric family name -> kind, for mixed-kind rejection
-	rings    map[string]*Ring
 	tracers  map[string]*Tracer
 	snap     atomic.Pointer[snapshot]
 }
@@ -155,7 +155,6 @@ func New() *Registry {
 	r := &Registry{
 		byKey:    make(map[string]*metric),
 		byFamily: make(map[string]kind),
-		rings:    make(map[string]*Ring),
 		tracers:  make(map[string]*Tracer),
 	}
 	r.snap.Store(&snapshot{})
@@ -200,17 +199,12 @@ func (r *Registry) publishLocked() {
 		}
 		return ms[i].jsonKey() < ms[j].jsonKey()
 	})
-	rs := make([]*Ring, 0, len(r.rings))
-	for _, ring := range r.rings {
-		rs = append(rs, ring)
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].name < rs[j].name })
 	ts := make([]*Tracer, 0, len(r.tracers))
 	for _, t := range r.tracers {
 		ts = append(ts, t)
 	}
 	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
-	r.snap.Store(&snapshot{metrics: ms, rings: rs, tracers: ts})
+	r.snap.Store(&snapshot{metrics: ms, tracers: ts})
 }
 
 // Counter registers (or finds) a sharded counter series.
@@ -249,19 +243,6 @@ func (r *Registry) HistogramSnapshots(family string) map[string]HistSnapshot {
 		}
 	}
 	return out
-}
-
-// Ring registers (or finds) a named flight-recorder ring.
-func (r *Registry) Ring(name string, cap int) *Ring {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.rings[name]; ok {
-		return old
-	}
-	ring := NewRing(name, cap)
-	r.rings[name] = ring
-	r.publishLocked()
-	return ring
 }
 
 // Tracer registers (or finds) a named provenance-span tracer, attaching

@@ -87,55 +87,16 @@ func TestCounterShardsSum(t *testing.T) {
 	}
 }
 
-func TestSampler(t *testing.T) {
-	s := NewSampler(16)
-	if s.Every() != 16 {
-		t.Fatalf("Every = %d, want 16", s.Every())
-	}
-	// Pre-biased: the very first tick on a shard samples.
-	if !s.Tick(7) {
-		t.Fatal("first tick should sample")
-	}
-	hits := 0
-	for i := 0; i < 15; i++ {
-		if s.Tick(7) {
-			hits++
-		}
-	}
-	if hits != 0 {
-		t.Fatalf("ticks 2..16 sampled %d times, want 0", hits)
-	}
-	if !s.Tick(7) {
-		t.Fatal("tick 17 should sample")
-	}
-	// every<=1 samples everything; non-power-of-two rounds up.
-	always := NewSampler(1)
-	for i := 0; i < 10; i++ {
-		if !always.Tick(i) {
-			t.Fatal("NewSampler(1) must sample every tick")
-		}
-	}
-	if got := NewSampler(10).Every(); got != 16 {
-		t.Fatalf("NewSampler(10).Every() = %d, want 16", got)
-	}
-}
-
-func TestRingWrapAndOrder(t *testing.T) {
-	r := NewRing("test", 4)
-	for i := 1; i <= 10; i++ {
-		r.Record(Event{PID: i, Op: "FILE_OPEN", Verdict: "DROP"})
-	}
-	if r.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", r.Total())
-	}
-	evs := r.Snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("len = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		wantSeq := uint64(7 + i)
-		if ev.Seq != wantSeq || ev.PID != int(wantSeq) {
-			t.Fatalf("slot %d: seq=%d pid=%d, want seq=pid=%d", i, ev.Seq, ev.PID, wantSeq)
+// TestSampleMask pins the period → mask rounding, including a period no
+// counter reaches (the counters-only bench arm), which must neither fire
+// early nor overflow.
+func TestSampleMask(t *testing.T) {
+	for _, c := range []struct {
+		every int
+		want  uint64
+	}{{0, 0}, {1, 0}, {2, 1}, {10, 15}, {16, 15}, {17, 31}, {math.MaxInt, math.MaxInt64}} {
+		if got := SampleMask(c.every); got != c.want {
+			t.Errorf("SampleMask(%d) = %#x, want %#x", c.every, got, c.want)
 		}
 	}
 }
@@ -149,9 +110,6 @@ func TestRegistryIdempotentAndKindMismatch(t *testing.T) {
 	}
 	if c := r.Counter("x_total", "", L("op", "B")); c == a {
 		t.Fatal("different labels must return a distinct counter")
-	}
-	if r.Ring("ring", 8) != r.Ring("ring", 99) {
-		t.Fatal("same ring name must return the same ring")
 	}
 	defer func() {
 		if recover() == nil {
@@ -208,8 +166,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	r.Counter("pf_mediations_total", "", L("op", "SOCKET_SENDMSG"), L("verdict", "ACCEPT")).Add(0, 4)
 	r.GaugeFunc("mac_adv_epoch", "", func() uint64 { return 2 })
 	r.Histogram("kernel_mediation_latency_ns", "").Observe(0, 77)
-	ring := r.Ring("pf_flight_drop", 4)
-	ring.Record(Event{PID: 9, Op: "FILE_OPEN", Verdict: "DROP", Path: "/tmp/x"})
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -231,10 +187,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	h := doc.Histograms["kernel_mediation_latency_ns"][""]
 	if h.Count != 1 || h.SumNs != 77 {
 		t.Errorf("histogram = %+v", h)
-	}
-	fr := doc.Rings["pf_flight_drop"]
-	if fr.Total != 1 || len(fr.Events) != 1 || fr.Events[0].Path != "/tmp/x" {
-		t.Errorf("ring = %+v", fr)
 	}
 	// And the marshal must be deterministic enough to re-marshal equal.
 	again, err := json.Marshal(doc)

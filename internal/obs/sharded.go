@@ -8,7 +8,7 @@ package obs
 
 import "sync/atomic"
 
-// counterShards is the shard fan-out for counters and samplers. 64 shards
+// counterShards is the shard fan-out for counters. 64 shards
 // of one cache line each is 4 KiB per counter — cheap for the fixed, low
 // cardinality the registry enforces (op × verdict × chain).
 const counterShards = 64
@@ -40,55 +40,13 @@ func (c *Counter) Load() uint64 {
 	return sum
 }
 
-// LoadKey reads the single shard selected by key. Instrumentation uses it
-// to derive sampling decisions from a counter the hot path maintains
-// anyway: `LoadKey(pid)&mask == 0` costs one load instead of a dedicated
-// sampler's read-modify-write.
-func (c *Counter) LoadKey(key int) uint64 {
-	return c.shards[uint(key)%counterShards].v.Load()
-}
-
 // SampleMask turns a sampling period into the bitmask used against a
 // monotone event counter: `count&mask == 0` fires once per `every` events,
 // with every rounded up to a power of two (every <= 1 fires always).
 func SampleMask(every int) uint64 {
 	n := uint64(1)
-	for int(n) < every {
+	for every > 1 && n < uint64(every) {
 		n <<= 1
 	}
 	return n - 1
 }
-
-// Sampler decides, lock-free, whether an expensive observation (two
-// timestamps and a histogram record) should be taken for this event: one
-// in every `every` events per shard. Shards are pre-biased so the first
-// event on each shard samples, which keeps short deterministic workloads
-// (CLI runs, tests) observable while steady-state overhead stays at
-// 1/every.
-type Sampler struct {
-	mask   uint64
-	shards [counterShards]paddedUint64
-}
-
-// NewSampler returns a sampler firing once per `every` ticks per shard,
-// rounded up to a power of two; every <= 1 samples everything.
-func NewSampler(every int) *Sampler {
-	n := uint64(1)
-	for int(n) < every {
-		n <<= 1
-	}
-	s := &Sampler{mask: n - 1}
-	for i := range s.shards {
-		s.shards[i].v.Store(n - 1) // first Add lands on a multiple of n
-	}
-	return s
-}
-
-// Tick advances the shard selected by key and reports whether this event
-// should be sampled.
-func (s *Sampler) Tick(key int) bool {
-	return s.shards[uint(key)%counterShards].v.Add(1)&s.mask == 0
-}
-
-// Every returns the effective sampling period.
-func (s *Sampler) Every() int { return int(s.mask + 1) }

@@ -12,10 +12,12 @@ import (
 // explains one mediated request — which chains it traversed, which rule
 // decided it (with its ruleset source position), which caches hit, and how
 // the latency split across kernel → DAC/MAC → gauntlet — plus the Tracer
-// that samples spans into a flight ring and fans them out to live
-// subscribers. Spans are embedded by value in the kernel's per-syscall
-// mediation scratch, so the armed-but-disabled path allocates nothing; the
-// schema is deliberately the one a future learning mode will mine.
+// that keeps spans in a flight ring and fans them out to live subscribers.
+// Every request of a sampled syscall carries a timed span, and every DROP
+// is published as one (untimed outside a sampled syscall). Spans are
+// embedded by value in the kernel's per-syscall mediation scratch, so
+// neither kind allocates; the schema is deliberately the one a future
+// learning mode will mine.
 
 // SpanFlags is a bitfield of provenance facts about one mediated request.
 type SpanFlags uint32
@@ -46,6 +48,10 @@ const (
 	// SpanEmptyRuleset: the empty-ruleset fast path accepted the request
 	// without entering any chain.
 	SpanEmptyRuleset
+	// SpanUntimed: a DROP outside a sampled syscall. The span carries the
+	// request's identity, verdict and deciding rule, but no chain path,
+	// cache bits or latency split.
+	SpanUntimed
 )
 
 // spanFlagNames is ordered by bit position, for the derived flag_names
@@ -60,6 +66,7 @@ var spanFlagNames = []string{
 	"adv_cache_miss",
 	"rule_decided",
 	"empty_ruleset",
+	"untimed",
 }
 
 // Names expands the bitfield into its symbolic names, bit order.
@@ -85,7 +92,8 @@ const SpanChainMax = 4
 // allocation; the record itself lives in per-syscall scratch and is copied
 // by value into the tracer ring and subscriber channels.
 //
-// Latency split, all monotonic nanoseconds:
+// Latency split, all monotonic nanoseconds (all zero on a SpanUntimed
+// span):
 //
 //	KernelNs   syscall entry → this request's mediation start
 //	CheckNs    DAC + MAC checks ahead of the gauntlet (0 when the request
@@ -234,7 +242,7 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 // TraceConfig parameterizes a Tracer.
 type TraceConfig struct {
 	// RingSize is the span flight-recorder capacity (default 256, rounded
-	// up to one).
+	// up to a power of two so a publish indexes the ring with a mask).
 	RingSize int
 	// SubBuf is the per-subscriber channel depth (default 64). A slow
 	// subscriber drops spans rather than stalling mediation.
@@ -261,10 +269,11 @@ type subSet struct {
 	subs []*SpanSub
 }
 
-// Tracer samples provenance spans into a bounded ring and fans them out to
-// subscribers. Publish is called from the kernel's syscall layer (never
-// from inside the gauntlet closure): a short mutex guards the ring slots,
-// while the subscriber list and mute set are read via atomic snapshots.
+// Tracer keeps published spans in a bounded ring — the flight recorder —
+// and fans them out to subscribers. Publish is called from the kernel's
+// syscall layer (never from inside the gauntlet closure): a short mutex
+// guards the ring slots, while the subscriber list and mute set are read
+// via atomic snapshots.
 type Tracer struct {
 	name string
 
@@ -288,10 +297,14 @@ func NewTracer(name string, cfg TraceConfig) *Tracer {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 256
 	}
+	ring := 1
+	for ring < cfg.RingSize {
+		ring <<= 1
+	}
 	if cfg.SubBuf <= 0 {
 		cfg.SubBuf = 64
 	}
-	t := &Tracer{name: name, slots: make([]Span, cfg.RingSize), subBuf: cfg.SubBuf}
+	t := &Tracer{name: name, slots: make([]Span, ring), subBuf: cfg.SubBuf}
 	t.subs.Store(&subSet{})
 	empty := map[int]struct{}{}
 	t.muted.Store(&empty)
@@ -313,7 +326,7 @@ func (t *Tracer) Publish(sp *Span) {
 	}
 	sp.Seq = t.seq.Add(1)
 	t.mu.Lock()
-	t.slots[(sp.Seq-1)%uint64(len(t.slots))] = *sp
+	t.slots[(sp.Seq-1)&uint64(len(t.slots)-1)] = *sp
 	t.mu.Unlock()
 	if ss := t.subs.Load(); len(ss.subs) > 0 {
 		for _, sub := range ss.subs {

@@ -20,8 +20,7 @@ func TestRegistryStress(t *testing.T) {
 	ctr := r.Counter("stress_total", "stress counter")
 	labeled := r.Counter("stress_ops_total", "labeled", L("op", "FILE_OPEN"), L("verdict", "ACCEPT"))
 	hist := r.Histogram("stress_latency_ns", "stress histogram")
-	ring := r.Ring("stress_ring", 64)
-	smp := NewSampler(4)
+	tr := r.Tracer("stress_spans", TraceConfig{RingSize: 64})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -76,8 +75,8 @@ func TestRegistryStress(t *testing.T) {
 				ctr.Add(key, 1)
 				labeled.Add(key, 2)
 				hist.Observe(key, uint64(i%5000))
-				if smp.Tick(key) {
-					ring.Record(Event{PID: key, Op: "FILE_OPEN", Verdict: "DROP"})
+				if i%4 == 0 {
+					tr.Publish(&Span{PID: key, Op: "FILE_OPEN", Verdict: "DROP"})
 				}
 			}
 		}(g)
@@ -103,14 +102,15 @@ func TestRegistryStress(t *testing.T) {
 	if bucketSum != hs.Count {
 		t.Errorf("bucket sum %d != count %d", bucketSum, hs.Count)
 	}
-	// Ring: every surviving event must have a distinct seq, ascending.
-	evs := ring.Snapshot()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Errorf("ring order violated at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
+	// Span ring: every surviving span must have a distinct seq, ascending,
+	// and every publish must be counted.
+	sps := tr.Snapshot()
+	for i := 1; i < len(sps); i++ {
+		if sps[i].Seq <= sps[i-1].Seq {
+			t.Errorf("ring order violated at %d: %d then %d", i, sps[i-1].Seq, sps[i].Seq)
 		}
 	}
-	if ring.Total() == 0 {
-		t.Error("sampler never fired")
+	if got := tr.Total(); got != writers*itersPerGorot/4 {
+		t.Errorf("spans published = %d, want %d", got, writers*itersPerGorot/4)
 	}
 }

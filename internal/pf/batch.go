@@ -56,26 +56,12 @@ func (e *Engine) StartBatch(b *Batch, proc Process) {
 func (b *Batch) Filter(req *Request) Verdict {
 	e, rs, pid := b.e, b.rs, b.pid
 
-	// Observability: when attached, count every request exactly, but take
-	// the two timestamps only on sampled requests — the timer calls, not
-	// the sharded counter adds, are what would bust the overhead budget.
-	// The sampling decision piggybacks on the request counter this shard
-	// is about to increment anyway (first request per shard samples, so
-	// short workloads still populate the histograms).
-	ob := b.ob
-	var t0 int64
-	sampled := false
-	if ob != nil && e.Stats.Requests.LoadKey(pid)&ob.sampleMask == 0 {
-		sampled = true
-		t0 = obs.MonoNow()
-	}
-
-	// Provenance: a trace-sampled request carries a kernel-armed span the
-	// gauntlet annotates in place — chain path, deciding rule, cache bits,
-	// rules evaluated. sp is nil on virtually every request; each fill
-	// point below is one predictable branch. Latency is the one thing not
-	// stamped here: the span's publisher already brackets the gauntlet
-	// call, so paying more clock reads inside it would only double-measure.
+	// Provenance: a request of a sampled syscall carries a kernel-armed
+	// span the gauntlet annotates in place — chain path, cache bits, rules
+	// evaluated. sp is nil on virtually every request; each fill point
+	// below is one predictable branch. The engine reads no clock: the
+	// span's publisher brackets the gauntlet call and reports the latency
+	// back through ObserveLatency.
 	sp := req.Span
 
 	// Fast path: with no rules installed, every request takes the default
@@ -85,7 +71,7 @@ func (b *Batch) Filter(req *Request) Verdict {
 		if sp != nil {
 			sp.Flags |= obs.SpanEmptyRuleset
 		}
-		return b.accept(req, sampled, t0, "")
+		return b.accept(req)
 	}
 
 	slot := slotInput
@@ -113,7 +99,7 @@ func (b *Batch) Filter(req *Request) Verdict {
 		if ci := rs.builtin[slot]; ci != nil {
 			b.traversed(ci)
 		}
-		return b.accept(req, sampled, t0, start)
+		return b.accept(req)
 	}
 
 	// The evaluation context is recycled through the per-process free
@@ -216,20 +202,19 @@ func (b *Batch) Filter(req *Request) Verdict {
 			sp.Flags |= obs.SpanEptUnwound
 		}
 	}
-	if ob != nil {
-		ob.finish(pid, req, v, sampled, t0, start)
+	if b.ob != nil {
+		b.ob.count(pid, req.Op, v)
 	}
 	return v
 }
 
 // accept ends a request that takes the default accept without a walk,
-// counting and recording it exactly as Filter's full path does. start names
-// the built-in chain it entered ("" for none).
-func (b *Batch) accept(req *Request, sampled bool, t0 int64, start string) Verdict {
+// counting it exactly as Filter's full path does.
+func (b *Batch) accept(req *Request) Verdict {
 	b.e.Stats.Requests.Add(b.pid, 1)
 	b.e.Stats.Accepts.Add(b.pid, 1)
 	if b.ob != nil {
-		b.ob.finish(b.pid, req, VerdictAccept, sampled, t0, start)
+		b.ob.count(b.pid, req.Op, VerdictAccept)
 	}
 	return VerdictAccept
 }

@@ -104,11 +104,16 @@ type Request struct {
 	Sig *SignalInfo
 
 	// Span, when non-nil, is the provenance record this request fills as it
-	// moves through the gauntlet: chain path, deciding rule, cache bits,
-	// rules evaluated. The kernel arms it on trace-sampled syscalls; nil
-	// (the overwhelmingly common case) costs one predictable branch per
-	// fill point and no allocation.
+	// moves through the gauntlet: chain path, cache bits, rules evaluated.
+	// The kernel arms it on sampled syscalls; nil (the overwhelmingly
+	// common case) costs one predictable branch per fill point and no
+	// allocation.
 	Span *obs.Span
+
+	// Decider is set by Filter to the rule whose target issued the final
+	// verdict; it stays nil when the default accept applied. Filter never
+	// clears it, so reuse a request only after Reset.
+	Decider *Rule
 
 	// argsBuf backs SyscallArgs for SetArgs callers, so forwarding a
 	// syscall's argument words into the request does not force the caller's

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"pfirewall/internal/mac"
-	"pfirewall/internal/obs"
 	"pfirewall/internal/ustack"
 )
 
@@ -324,13 +323,7 @@ func (e *Engine) evalRule(ctx *EvalCtx, r *Rule) Action {
 	ctx.Require(r.Target.Needs())
 	act := r.Target.Fire(ctx)
 	if act.Final {
-		if sp := ctx.Req.Span; sp != nil {
-			sp.Flags |= obs.SpanRuleDecided
-			sp.RuleFile = r.Src.File
-			sp.RuleLine = r.Src.Line
-			sp.RuleCol = r.Src.Col
-			sp.RuleTarget = r.Target.TargetName()
-		}
+		ctx.Req.Decider = r
 	}
 	return act
 }

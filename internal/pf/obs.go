@@ -4,57 +4,25 @@ import (
 	"pfirewall/internal/obs"
 )
 
-// ObsConfig tunes the engine's observability instrumentation.
-type ObsConfig struct {
-	// SampleEvery takes one gauntlet-latency sample per SampleEvery
-	// requests per shard (default 16; 1 samples every request). Counters
-	// are always exact — only the two timestamps per request are sampled,
-	// which is what keeps enabled-metrics overhead inside the ≤5% budget.
-	SampleEvery int
-	// RingSize is the per-verdict flight-recorder capacity (default 256).
-	RingSize int
-	// RecordAccepts also records ACCEPT verdicts into the accept ring.
-	// Off by default: accepts dominate by orders of magnitude and would
-	// only evict each other; DROPs — the events an operator reviews — are
-	// always recorded.
-	RecordAccepts bool
-}
-
 // engineObs is the engine's attached instrumentation. Every series is
 // pre-registered and indexed directly by Op, so the Filter hot path does
 // no map lookups and no locking — one atomic pointer load decides whether
-// any of this runs at all.
+// any of this runs at all. The engine reads no clock: the latency
+// histograms observe the spans the kernel times (Batch.ObserveLatency).
 type engineObs struct {
 	reg *obs.Registry
-	// sampleMask gates latency timestamps against the requester's
-	// Stats.Requests shard — a counter Filter increments regardless, so the
-	// sampling decision costs one load, not an extra read-modify-write.
-	sampleMask uint64
 
 	mediations [opCount][2]*obs.Counter // [op][verdict]
 	latency    [opCount]*obs.Histogram
 
-	logEmissions  *obs.Counter
-	dropRing      *obs.Ring
-	acceptRing    *obs.Ring
-	recordAccepts bool
+	logEmissions *obs.Counter
 }
 
 // AttachObs registers the engine's metric series on reg and arms the
 // Filter instrumentation. Idempotent per registry (series registration
 // dedupes); the hot path notices the attachment through one atomic load.
-func (e *Engine) AttachObs(reg *obs.Registry, cfg ObsConfig) {
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 16
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 256
-	}
-	ob := &engineObs{
-		reg:           reg,
-		sampleMask:    obs.SampleMask(cfg.SampleEvery),
-		recordAccepts: cfg.RecordAccepts,
-	}
+func (e *Engine) AttachObs(reg *obs.Registry) {
+	ob := &engineObs{reg: reg}
 	const medHelp = "Mediation requests by operation and verdict."
 	for op := Op(1); op < opCount; op++ {
 		name := op.String()
@@ -67,8 +35,6 @@ func (e *Engine) AttachObs(reg *obs.Registry, cfg ObsConfig) {
 			obs.L("op", name))
 	}
 	ob.logEmissions = reg.Counter("pf_log_emissions_total", "LOG-target records emitted.")
-	ob.dropRing = reg.Ring("pf_flight_drop", cfg.RingSize)
-	ob.acceptRing = reg.Ring("pf_flight_accept", cfg.RingSize)
 
 	// Engine totals are already counted exactly by Stats; export them
 	// rather than double-counting on the hot path.
@@ -112,11 +78,8 @@ func (e *Engine) registerChainObs(name string) {
 		c.Traversals.Load, obs.L("chain", name))
 }
 
-// finish flushes one request's obs series. t0 is meaningful only when
-// sampled is true; chain is the start chain ("" on the empty-ruleset fast
-// path).
-func (ob *engineObs) finish(pid int, req *Request, v Verdict, sampled bool, t0 int64, chain string) {
-	op := req.Op
+// count adds one request to its exact op×verdict counter.
+func (ob *engineObs) count(pid int, op Op, v Verdict) {
 	if op >= opCount {
 		op = OpInvalid
 	}
@@ -127,32 +90,16 @@ func (ob *engineObs) finish(pid int, req *Request, v Verdict, sampled bool, t0 i
 	if c := ob.mediations[op][vi]; c != nil {
 		c.Add(pid, 1)
 	}
-	if sampled {
-		if h := ob.latency[op]; h != nil {
-			h.Observe(pid, uint64(obs.MonoNow()-t0))
-		}
-	}
-	if v == VerdictDrop {
-		ob.record(ob.dropRing, pid, req, v, chain)
-	} else if ob.recordAccepts {
-		ob.record(ob.acceptRing, pid, req, v, chain)
-	}
 }
 
-// record appends one flight-recorder event.
-//
-//pflint:allow-fn — metrics-layer recording, active only when an observability sink is attached.
-func (ob *engineObs) record(ring *obs.Ring, pid int, req *Request, v Verdict, chain string) {
-	ev := obs.Event{
-		TimeUnixNano: obs.WallNano(obs.MonoNow()),
-		PID:          pid,
-		Op:           req.Op.String(),
-		Verdict:      v.String(),
-		Chain:        chain,
+// ObserveLatency records one timed request's gauntlet latency — the span
+// stamps its caller took around Filter — in pf_gauntlet_latency_ns{op}.
+// A no-op when observability is not attached.
+func (b *Batch) ObserveLatency(op Op, ns uint64) {
+	if b.ob == nil || op >= opCount {
+		return
 	}
-	if req.Obj != nil {
-		ev.Path = req.Obj.Path()
-		ev.ResourceID = req.Obj.ID()
+	if h := b.ob.latency[op]; h != nil {
+		h.Observe(b.pid, ns)
 	}
-	ring.Record(ev)
 }

@@ -174,17 +174,13 @@ type WorldOpts struct {
 	WebTreeDepth int
 	// Obs, when non-nil, attaches the observability layer to the kernel
 	// (and the engine, when PF is set), registering every mediation-stack
-	// metric on the given registry.
+	// metric and the span tracer on the given registry.
 	Obs *obs.Registry
-	// ObsEvery overrides the latency sampling period (default 16;
-	// 1 samples every request — what pfctl uses so short deterministic
+	// ObsEvery overrides the sampling period: one syscall in ObsEvery
+	// carries timed spans, which the latency histograms observe (default
+	// 16; 1 samples every syscall — what pfctl uses so short deterministic
 	// workloads populate the histograms).
 	ObsEvery int
-	// TraceEvery enables decision-provenance tracing, sampling one syscall
-	// in TraceEvery (0 disables; requires Obs).
-	TraceEvery int
-	// TraceRing overrides the span flight-recorder capacity (default 256).
-	TraceRing int
 }
 
 // NewWorld builds the standard simulated system.
@@ -208,11 +204,7 @@ func NewWorld(opts WorldOpts) *World {
 		k.AttachPF(w.Engine)
 	}
 	if opts.Obs != nil {
-		k.AttachObs(opts.Obs, kernel.ObsConfig{
-			SampleEvery: opts.ObsEvery,
-			TraceEvery:  opts.TraceEvery,
-			TraceRing:   opts.TraceRing,
-		})
+		k.AttachObs(opts.Obs, kernel.ObsConfig{SampleEvery: opts.ObsEvery})
 	}
 	w.populate(opts)
 	return w

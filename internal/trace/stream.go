@@ -25,14 +25,14 @@ const streamLabel = "pftrace_t"
 const serverSubBuf = 8192
 
 // ErrNoTracer is returned by ServeSpans on a kernel without an attached
-// tracer (observability missing or ObsConfig.TraceEvery zero).
-var ErrNoTracer = errors.New("trace: kernel has no tracer attached (set ObsConfig.TraceEvery)")
+// tracer, which is a kernel without observability attached.
+var ErrNoTracer = errors.New("trace: kernel has no tracer attached (attach observability with Kernel.AttachObs)")
 
 // ErrStreamTimeout is returned by SpanClient.Next when no span arrived
 // within the deadline.
 var ErrStreamTimeout = linesvc.ErrTimeout
 
-// SpanServer relays sampled spans as JSON lines to in-world subscribers over
+// SpanServer relays published spans as JSON lines to in-world subscribers over
 // the simulated kernel's own sockets (internal/linesvc). Both endpoints are
 // muted on the tracer, or their syscalls would trace their own delivery.
 type SpanServer struct {

@@ -24,7 +24,7 @@ func TestStreamChurnUnderFleet(t *testing.T) {
 	cfg := pf.Optimized()
 	gw := worldgen.Build(worldgen.Tiny, programs.WorldOpts{
 		PF: &cfg, MACEnforcing: true,
-		Obs: obs.New(), ObsEvery: 1, TraceEvery: 2,
+		Obs: obs.New(), ObsEvery: 2,
 	})
 	srv, err := trace.ServeSpans(gw.K, "")
 	if err != nil {

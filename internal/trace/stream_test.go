@@ -13,12 +13,10 @@ import (
 	"pfirewall/internal/programs"
 )
 
-func tracedWorld(t *testing.T, traceEvery int) *programs.World {
+func tracedWorld(t *testing.T, every int) *programs.World {
 	t.Helper()
 	cfg := pf.Optimized()
-	w := programs.NewWorld(programs.WorldOpts{
-		PF: &cfg, Obs: obs.New(), ObsEvery: 1, TraceEvery: traceEvery,
-	})
+	w := programs.NewWorld(programs.WorldOpts{PF: &cfg, Obs: obs.New(), ObsEvery: every})
 	// Spans are only generated for ops the firewall actually filters
 	// (MayFilter short-circuits the rest), so give the world a rule.
 	if _, err := pftables.Install(w.Env, w.Engine,
@@ -199,7 +197,7 @@ func TestSlowSubscriberStaysBounded(t *testing.T) {
 
 func TestServeSpansRequiresTracer(t *testing.T) {
 	cfg := pf.Optimized()
-	w := programs.NewWorld(programs.WorldOpts{PF: &cfg, Obs: obs.New(), ObsEvery: 1})
+	w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
 	if _, err := ServeSpans(w.K, ""); !errors.Is(err, ErrNoTracer) {
 		t.Fatalf("ServeSpans without tracer: %v, want ErrNoTracer", err)
 	}

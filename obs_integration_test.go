@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pfirewall"
+	"pfirewall/internal/obs"
 )
 
 func TestObservabilityIntegration(t *testing.T) {
@@ -51,15 +52,20 @@ func TestObservabilityIntegration(t *testing.T) {
 		t.Errorf("FILE_OPEN latency samples = %d, want >= 1", got)
 	}
 
-	// The blocked attack must land in the flight recorder with its
-	// identity intact.
-	drops := snap.Rings["pf_flight_drop"]
-	if drops.Total < 1 || len(drops.Events) == 0 {
-		t.Fatalf("flight recorder empty after a DROP: %+v", drops)
+	// The blocked attack must land in the span ring with its identity
+	// intact.
+	var drop *obs.Span
+	spans := snap.Spans["pf_spans"]
+	for i := range spans.Recent {
+		if spans.Recent[i].Verdict == "DROP" {
+			drop = &spans.Recent[i]
+		}
 	}
-	ev := drops.Events[len(drops.Events)-1]
-	if ev.Verdict != "DROP" || ev.Path != "/tmp/innocent" {
-		t.Errorf("drop event = %+v, want DROP of /tmp/innocent", ev)
+	if drop == nil {
+		t.Fatalf("span ring holds no DROP after a blocked attack: %+v", spans)
+	}
+	if drop.Verdict != "DROP" || drop.Path != "/tmp/innocent" {
+		t.Errorf("drop span = %+v, want DROP of /tmp/innocent", drop)
 	}
 
 	var buf bytes.Buffer

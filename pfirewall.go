@@ -118,11 +118,13 @@ type Options struct {
 	CollectTrace bool
 	// Observability attaches the lock-free metrics layer (internal/obs):
 	// syscall/mediation counters, latency histograms, cache statistics,
-	// and the PF flight recorder, exportable as Prometheus text or JSON
-	// through System.Obs().
+	// and the span ring holding every recent DROP, exportable as
+	// Prometheus text or JSON through System.Obs().
 	Observability bool
-	// ObsSampleEvery overrides the latency sampling period (default 16;
-	// 1 samples every request). Ignored unless Observability is set.
+	// ObsSampleEvery overrides the sampling period: one syscall in
+	// ObsSampleEvery carries timed spans, which the latency histograms
+	// observe (default 16; 1 samples every syscall). Ignored unless
+	// Observability is set.
 	ObsSampleEvery int
 }
 
