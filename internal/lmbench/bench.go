@@ -211,8 +211,9 @@ func obsGate(rep Report) error {
 // policyGate: at deployment scale (10k rules) incremental publish beats a
 // full rebuild by 10x, a trimmed sweep still by 1.5x; no probe sees a
 // stale verdict after its publish round trip; every request resolves to
-// a verdict; and the open path's best-round p99 degrades at most 10%
-// while churning.
+// a verdict; the open path's best-round p99 degrades at most 10% while
+// churning; and the analysis grows about linearly: from the next size to
+// the largest, its ns/op grows at most 3x the rule count's growth.
 func policyGate(rep Report) error {
 	var inc *Cell
 	for i, c := range rep.Cells {
@@ -240,6 +241,19 @@ func policyGate(rep Report) error {
 	}
 	if churn.BestRoundPct > 10 {
 		return fmt.Errorf("open-path p99 degrades %.1f%% in every churning round, budget 10%%", churn.BestRoundPct)
+	}
+	var analyzed []Cell
+	for _, c := range rep.Cells {
+		if c.Workload == "analyze" {
+			analyzed = append(analyzed, c)
+		}
+	}
+	if len(analyzed) < 2 {
+		return fmt.Errorf("report lacks analyze cells at two sizes")
+	}
+	prev, last := analyzed[len(analyzed)-2], analyzed[len(analyzed)-1]
+	if g, bound := last.Counts["growth"], 3*float64(last.Rules)/float64(prev.Rules); g > bound {
+		return fmt.Errorf("analysis grows %.1fx from %d to %d rules, bound %.1fx", g, prev.Rules, last.Rules, bound)
 	}
 	return nil
 }

@@ -79,6 +79,20 @@ func withSpeedup(t *testing.T, rep Report, speedup float64) Report {
 	return cp
 }
 
+// withGrowth returns a copy of rep whose largest analyze cell counts the
+// given growth over the previous size.
+func withGrowth(t *testing.T, rep Report, growth float64) Report {
+	cp := clone(t, rep)
+	var last *Cell
+	for i, c := range cp.Cells {
+		if c.Workload == "analyze" && (last == nil || c.Rules > last.Rules) {
+			last = &cp.Cells[i]
+		}
+	}
+	last.Counts["growth"] = growth
+	return cp
+}
+
 // gated returns a copy of rep whose gated cell — single-goroutine
 // open+stat+close OBS against COUNTERS — has the given best round.
 func gated(t *testing.T, rep Report, best float64) Report {
@@ -130,6 +144,12 @@ func TestGates(t *testing.T) {
 		{"policy verdict lost", policyGate, edit(t, policy, "disturbance", "churn", 0, func(c *Cell) { c.Counts["requests"]++ }), false},
 		{"policy disturbed", policyGate, edit(t, policy, "disturbance", "churn", 0, func(c *Cell) { c.BestRoundPct = 10.1 }), false},
 		{"policy without propagation", policyGate, drop(policy, func(c Cell) bool { return c.Workload == "propagation" }), false},
+		// From 1,200 to 10,000 rules: linear growth is 8.3x, the bound 25x,
+		// quadratic growth 69x.
+		{"policy analysis quadratic", policyGate, withGrowth(t, policy, 10000.0*10000/(1200*1200)), false},
+		{"policy analysis at 3x linear", policyGate, withGrowth(t, policy, 25), true},
+		{"policy analysis over 3x linear", policyGate, withGrowth(t, policy, 25.1), false},
+		{"policy without analysis", policyGate, drop(policy, func(c Cell) bool { return c.Workload == "analyze" }), false},
 
 		{"verify checked in", verifyGate, verify, true},
 		{"verify unproved", verifyGate, edit(t, verify, "sweep", "", 0, func(c *Cell) { c.Counts["unproved"] = 1 }), false},

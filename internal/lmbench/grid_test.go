@@ -92,11 +92,13 @@ func TestBenchGrids(t *testing.T) {
 			{Workload: "publish", Arms: publish, Rules: 10000},
 			{Workload: "propagation"},
 			{Workload: "disturbance", Arms: []string{"quiet", "churn"}, Rules: 1200},
+			{Workload: "analyze", Arms: []string{"100", "1200", "10000"}},
 		}, []Spec{
 			{Workload: "publish", Arms: publish, Rules: 100},
 			{Workload: "publish", Arms: publish, Rules: 1200},
 			{Workload: "propagation"},
 			{Workload: "disturbance", Arms: []string{"quiet", "churn"}, Rules: 1200},
+			{Workload: "analyze", Arms: []string{"100", "1200"}},
 		}},
 		{"verify", [2]int{}, []Spec{
 			{Workload: "sweep", Rules: 100},

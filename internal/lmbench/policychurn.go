@@ -1,5 +1,5 @@
 // policychurn.go measures the policy control plane — the
-// BENCH_policy.json artifact. Three questions:
+// BENCH_policy.json artifact. Four questions:
 //
 //   - publish latency: how long one rule change takes to land, a
 //     from-scratch pf.Compile of the changed chains vs the engine's
@@ -12,17 +12,22 @@
 //   - disturbance: what churning the rule base through the control plane
 //     does to the mediated open path's p99, measured as paired
 //     quiet/churning rounds (interleaved so drift inflates both sides and
-//     cancels in the ratio — only a cost present in every round counts).
+//     cancels in the ratio — only a cost present in every round counts);
+//   - analysis: how the pfcheck pass every gated apply runs grows with
+//     the rule base, timed at every size back to back in each round so
+//     that a change of host speed between cells cannot pass for growth.
 package lmbench
 
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync/atomic"
 	"time"
 
 	"pfirewall/internal/kernel"
 	"pfirewall/internal/pf"
+	"pfirewall/internal/pfcheck"
 	"pfirewall/internal/pftables"
 	"pfirewall/internal/policyd"
 	"pfirewall/internal/programs"
@@ -36,21 +41,25 @@ const policyWorlds = 4
 const policyRounds = 4
 
 // policyGrid: full vs incremental publish at each rule-base size, the
-// propagation fleet, and the quiet vs churning open path over the
-// paper-scale base.
+// propagation fleet, the quiet vs churning open path over the paper-scale
+// base, and the analysis at every rule-base size (its arms are the sizes).
 func policyGrid(smoke bool) []Spec {
 	var specs []Spec
+	var analyzed []string
 	for _, n := range sizes(smoke) {
 		specs = append(specs, Spec{Workload: "publish", Arms: []string{"full", "incremental"}, Rules: n})
+		analyzed = append(analyzed, strconv.Itoa(n))
 	}
 	return append(specs,
 		Spec{Workload: "propagation"},
-		Spec{Workload: "disturbance", Arms: []string{"quiet", "churn"}, Rules: 1200})
+		Spec{Workload: "disturbance", Arms: []string{"quiet", "churn"}, Rules: 1200},
+		Spec{Workload: "analyze", Arms: analyzed})
 }
 
 // policyCell measures one spec of policyGrid. The publish count per cell
-// is o.Iters/50 (400 at the default 20,000) and a disturbance side runs
-// o.Iters opens.
+// is o.Iters/50 (400 at the default 20,000), a disturbance side runs
+// o.Iters opens, and each analysis round analyzes about 10×o.Iters rules
+// per size.
 func policyCell(s Spec, o Opts) []Cell {
 	switch s.Workload {
 	case "publish":
@@ -59,6 +68,8 @@ func policyCell(s Spec, o Opts) []Cell {
 		return []Cell{runPolicyPropagation()}
 	case "disturbance":
 		return runPolicyDisturbance(max(o.Iters, 1), s.Rules)
+	case "analyze":
+		return runPolicyAnalyze(10*max(o.Iters, 1), s.Arms)
 	}
 	panic("lmbench: unknown policy workload " + s.Workload)
 }
@@ -288,4 +299,59 @@ func runPolicyDisturbance(iters, n int) []Cell {
 		"drops":          float64(w.Engine.Stats.Drops.Load()),
 	}
 	return []Cell{side("quiet", quiet), c}
+}
+
+// runPolicyAnalyze times pfcheck.AnalyzeRuleset — the pass policyd's gate
+// runs over every candidate — over a scale base of each size in arms,
+// installed on a pf.Optimized engine, about budget analyzed rules per size
+// in each of Rounds rounds with the sizes back to back. Each cell counts
+// the pass's allocations per call (in Counts: the table's allocs/op column
+// would print a zero for every other policy cell) and, after the first,
+// its growth: the median over rounds of its ns/op over the previous
+// size's.
+func runPolicyAnalyze(budget int, arms []string) []Cell {
+	cfg := pf.Optimized()
+	rules := make([]int, len(arms))
+	calls := make([]int, len(arms))
+	bodies := make([][]func(), len(arms))
+	for i, arm := range arms {
+		rules[i] = must(strconv.Atoi(arm))
+		calls[i] = max(budget/rules[i], 1)
+		w := programs.NewWorld(programs.WorldOpts{PF: &cfg})
+		must(w.InstallRules(rulegen.ScaleRuleBase(1, rules[i])))
+		tbl, chains := w.K.Policy.SIDs(), w.Engine.Program().Chains()
+		body := func() { pfcheck.AnalyzeRuleset(tbl, chains, nil) }
+		body() // warm
+		bodies[i] = []func(){body}
+	}
+	ns := make([][]float64, len(arms))
+	mallocs := make([]uint64, len(arms))
+	for r := 0; r < Rounds; r++ {
+		for i := range arms {
+			el, m, _ := timed(bodies[i], calls[i])
+			ns[i] = append(ns[i], el/float64(calls[i]))
+			mallocs[i] += m
+		}
+	}
+	cells := make([]Cell, len(arms))
+	for i := range arms {
+		ops := int64(calls[i] * Rounds)
+		cells[i] = Cell{
+			Workload: "analyze",
+			Rules:    rules[i],
+			Rounds:   Rounds,
+			Ops:      ops,
+			NsPerOp:  quantile(ns[i], 0.5),
+			IQRNs:    quantile(ns[i], 0.75) - quantile(ns[i], 0.25),
+			Counts:   map[string]float64{"allocs_per_op": float64(mallocs[i]) / float64(ops)},
+		}
+		if i > 0 {
+			growth := make([]float64, Rounds)
+			for r := range growth {
+				growth[r] = ns[i][r] / ns[i-1][r]
+			}
+			cells[i].Counts["growth"] = quantile(growth, 0.5)
+		}
+	}
+	return cells
 }

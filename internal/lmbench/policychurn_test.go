@@ -49,3 +49,21 @@ func TestPolicyChurnSmoke(t *testing.T) {
 	}
 	_ = Markdown(rep)
 }
+
+// TestPolicyAnalyzeCells runs the analysis cells at tiny sizes: one cell
+// per size in arm order, each timed over every round with its allocations
+// counted, and a growth count on every cell after the first.
+func TestPolicyAnalyzeCells(t *testing.T) {
+	cells := runPolicyAnalyze(2000, []string{"100", "400"})
+	if len(cells) != 2 || cells[0].Rules != 100 || cells[1].Rules != 400 {
+		t.Fatalf("cells %+v, want one per size", cells)
+	}
+	for _, c := range cells {
+		if c.Workload != "analyze" || c.Rounds != Rounds || c.NsPerOp <= 0 || c.Counts["allocs_per_op"] <= 0 {
+			t.Errorf("degenerate cell %+v", c)
+		}
+	}
+	if _, ok := cells[0].Counts["growth"]; ok || cells[1].Counts["growth"] <= 0 {
+		t.Errorf("growth counts %v, %v: want none on the first size, a ratio on the second", cells[0].Counts, cells[1].Counts)
+	}
+}

@@ -1,6 +1,8 @@
 package pf
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"pfirewall/internal/mac"
@@ -209,6 +211,7 @@ func AnalyzeChains(chains map[string]*Chain) *RulesetAnalysis {
 	}
 
 	// Per-chain rule analysis.
+	var search shadowSearch
 	for _, name := range names {
 		c := chains[name]
 		if ctx[name] == 0 {
@@ -222,7 +225,7 @@ func AnalyzeChains(chains map[string]*Chain) *RulesetAnalysis {
 			}
 			continue
 		}
-		analyzeChainRules(an, name, c, ctx[name])
+		search.chainRules(an, name, c, ctx[name])
 	}
 	return an
 }
@@ -235,99 +238,210 @@ type shadowCand struct {
 	hasState bool
 }
 
-// analyzeChainRules finds never-matching and shadowed rules within one
-// reachable chain. The candidate search mirrors compile.go's dispatch
-// lattice: earlier terminal rules are bucketed by exact subject SID with a
-// wildcard lane for nil/negated subjects, so a rule only tests candidates
-// that could possibly cover it — O(matching-candidates) per rule on
-// realistic bases instead of O(n²) pair checks.
-func analyzeChainRules(an *RulesetAnalysis, name string, c *Chain, cctx OpSet) {
-	// Prefix counts of rules with state-mutating or control-transferring
-	// targets, for the STATE staleness guard (see coverageShadows).
-	mut := make([]int, len(c.Rules)+1)
+// shadowSearch holds one chain's shadow lanes. Lanes are keyed like the
+// compiled index — an op slot, then one SID of an exact subject set or the
+// wildcard (nil and negated subjects) — and split by entry class, since
+// entryCovers lets only a generic rule or one with the same -p/-i
+// predicate cover another. A class other than the generic one keeps all
+// its rules in its wildcard lanes: few rules share a predicate. Every
+// terminal rule is filed under each lane it can shadow from, in one list
+// sorted by lane and then install order, so a lane is a run of the list.
+// AnalyzeChains reuses one search across its chains.
+type shadowSearch struct {
+	lanes []laneEntry
+	dead  []bool // per rule: it never matches or is shadowed
+	mut   []int
+}
+
+// laneEntry files the rule at index idx under lane.
+type laneEntry struct {
+	lane uint64
+	idx  int32
+}
+
+// laneOf packs a lane key: the op slot, the entry class, a wildcard flag
+// and a subject SID. Lanes whose keys collide only gain candidates, which
+// covers then rejects, so the class may be a hash.
+func laneOf(slot uint8, class uint32, wild bool, sid mac.SID) uint64 {
+	k := uint64(slot)<<56 | uint64(class&(1<<23-1))<<33 | uint64(sid)
+	if wild {
+		k |= 1 << 32
+	}
+	return k
+}
+
+// classOf hashes r's entry class (FNV-1a over its -p/-i predicate): 0 for
+// a generic rule, nonzero otherwise. A program-only rule's class ignores
+// Entry, as entryCovers does.
+func classOf(r *Rule) uint32 {
+	if r.Program == "" && !r.EntrySet {
+		return 0
+	}
+	h := uint32(2166136261)
+	for i := 0; i < len(r.Program); i++ {
+		h = (h ^ uint32(r.Program[i])) * 16777619
+	}
+	if r.EntrySet {
+		for e, n := r.Entry, 0; n < 8; e, n = e>>8, n+1 {
+			h = (h ^ uint32(e&0xff)) * 16777619
+		}
+	}
+	return h | 1
+}
+
+// chainRules finds never-matching and shadowed rules within one reachable
+// chain. A rule tests only the earlier live candidates of the lanes that
+// can hold its shadower (firstShadower), merged in install order, so the
+// first candidate that covers it is the one a scan of every earlier rule
+// would find.
+func (s *shadowSearch) chainRules(an *RulesetAnalysis, name string, c *Chain, cctx OpSet) {
+	// Most rules enter one or two lanes.
+	s.lanes = slices.Grow(s.lanes[:0], 2*len(c.Rules))
+	s.dead = append(s.dead[:0], make([]bool, len(c.Rules))...)
 	for i, r := range c.Rules {
-		mut[i+1] = mut[i]
+		if _, ok := candidateOf(i, r); ok {
+			s.file(i, r)
+		}
+	}
+	slices.SortFunc(s.lanes, func(a, b laneEntry) int {
+		if a.lane != b.lane {
+			return cmp.Compare(a.lane, b.lane)
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	mutBetween := s.mutations(c)
+
+	for j, r := range c.Rules {
+		// Never-matching rules first: they are dead regardless of order,
+		// and are excluded from the shadower candidate set.
+		if kind := neverMatches(r, cctx); kind != 0 {
+			s.dead[j] = true
+			an.Unreachable = append(an.Unreachable, Unreachable{Chain: name, Index: j, Rule: r, Kind: kind, ByIndex: -1})
+			continue
+		}
+		if a, ok := s.firstShadower(c, j, mutBetween); ok {
+			// Shadowed rules never fire, so they are not candidates; their
+			// own shadower already covers anything they would have covered.
+			s.dead[j] = true
+			an.Unreachable = append(an.Unreachable, Unreachable{
+				Chain: name, Index: j, Rule: r, Kind: UnreachShadowed,
+				By: a.r, ByIndex: a.idx, SameVerdict: sameOutcome(a.r.Target, r.Target),
+			})
+		}
+	}
+}
+
+// neverMatches reports why r can match no request reaching a chain whose
+// op context is cctx, or 0 when it may match one.
+func neverMatches(r *Rule, cctx OpSet) UnreachKind {
+	switch {
+	case r.Subject != nil && !r.Subject.Negate && len(r.Subject.sids) == 0:
+		return UnreachEmptySubject
+	case r.Object != nil && !r.Object.Negate && len(r.Object.sids) == 0:
+		return UnreachEmptyObject
+	case r.Ops != 0 && r.Ops&cctx == 0:
+		return UnreachOpContext
+	}
+	return 0
+}
+
+// candidateOf returns the rule at index j as a shadower candidate for the
+// rules after it, if its target is terminal.
+func candidateOf(j int, r *Rule) (shadowCand, bool) {
+	switch r.Target.(type) {
+	case *VerdictTarget, *ReturnTarget:
+		_, isReturn := r.Target.(*ReturnTarget)
+		return shadowCand{idx: j, r: r, isReturn: isReturn, hasState: hasStateMatch(r)}, true
+	}
+	return shadowCand{}, false
+}
+
+// mutations returns whether a state-mutating or control-transferring
+// target lies strictly between two rule indexes, for the STATE staleness
+// guard (see coverageShadows).
+func (s *shadowSearch) mutations(c *Chain) func(i, j int) bool {
+	mut := append(slices.Grow(s.mut[:0], len(c.Rules)+1), 0)
+	for i, r := range c.Rules {
+		mut = append(mut, mut[i])
 		switch r.Target.(type) {
 		case *StateTarget, *JumpTarget:
 			mut[i+1]++
 		}
 	}
-	mutBetween := func(i, j int) bool { return mut[j]-mut[i+1] > 0 }
+	s.mut = mut
+	return func(i, j int) bool { return mut[j]-mut[i+1] > 0 }
+}
 
-	wild := []shadowCand{}
-	bySID := make(map[mac.SID][]shadowCand)
-
-	for j, r := range c.Rules {
-		// Never-matching rules first: they are dead regardless of order,
-		// and are excluded from the shadower candidate set.
-		if r.Subject != nil && !r.Subject.Negate && len(r.Subject.sids) == 0 {
-			an.Unreachable = append(an.Unreachable, Unreachable{Chain: name, Index: j, Rule: r, Kind: UnreachEmptySubject, ByIndex: -1})
+// file enters the terminal rule r at index i under every lane it can
+// shadow from: each op slot its op mask may match, then each SID of an
+// exact subject set of a generic rule, or the wildcard.
+func (s *shadowSearch) file(i int, r *Rule) {
+	class := classOf(r)
+	wild := class != 0 || r.Subject == nil || r.Subject.Negate
+	for slot := 0; slot < opSlots; slot++ {
+		if !slotMayMatch(r.Ops, slot) {
 			continue
 		}
-		if r.Object != nil && !r.Object.Negate && len(r.Object.sids) == 0 {
-			an.Unreachable = append(an.Unreachable, Unreachable{Chain: name, Index: j, Rule: r, Kind: UnreachEmptyObject, ByIndex: -1})
+		if wild {
+			s.lanes = append(s.lanes, laneEntry{laneOf(uint8(slot), class, true, 0), int32(i)})
 			continue
 		}
-		if r.Ops != 0 && r.Ops&cctx == 0 {
-			an.Unreachable = append(an.Unreachable, Unreachable{Chain: name, Index: j, Rule: r, Kind: UnreachOpContext, ByIndex: -1})
-			continue
-		}
-
-		// Candidate lanes: a shadower with an exact subject set must
-		// contain every subject SID this rule names, in particular its
-		// first one — so probing one member's bucket loses no candidates.
-		lanes := [2][]shadowCand{nil, wild}
-		if r.Subject != nil && !r.Subject.Negate {
-			lanes[0] = bySID[r.Subject.SIDs()[0]]
-		}
-		if a, ok := firstShadower(lanes, r, mutBetween, j); ok {
-			an.Unreachable = append(an.Unreachable, Unreachable{
-				Chain: name, Index: j, Rule: r, Kind: UnreachShadowed,
-				By: a.r, ByIndex: a.idx, SameVerdict: sameOutcome(a.r.Target, r.Target),
-			})
-			// Shadowed rules never fire, so they are not candidates; their
-			// own shadower already covers anything they would have covered.
-			continue
-		}
-
-		// A live terminal rule becomes a shadower candidate for the rules
-		// after it.
-		switch r.Target.(type) {
-		case *VerdictTarget, *ReturnTarget:
-			_, isReturn := r.Target.(*ReturnTarget)
-			cand := shadowCand{idx: j, r: r, isReturn: isReturn, hasState: hasStateMatch(r)}
-			if r.Subject != nil && !r.Subject.Negate {
-				for sid := range r.Subject.sids {
-					bySID[sid] = append(bySID[sid], cand)
-				}
-			} else {
-				wild = append(wild, cand)
-			}
+		for _, sid := range r.Subject.sids {
+			s.lanes = append(s.lanes, laneEntry{laneOf(uint8(slot), 0, false, sid), int32(i)})
 		}
 	}
 }
 
-// firstShadower order-merges the candidate lanes (both already sorted by
-// install index) and returns the earliest candidate whose claim survives
-// every soundness guard.
-func firstShadower(lanes [2][]shadowCand, r *Rule, mutBetween func(i, j int) bool, j int) (shadowCand, bool) {
-	x, y := lanes[0], lanes[1]
-	xi, yi := 0, 0
-	for xi < len(x) || yi < len(y) {
-		var a shadowCand
-		if yi >= len(y) || (xi < len(x) && x[xi].idx < y[yi].idx) {
-			a = x[xi]
-			xi++
-		} else {
-			a = y[yi]
-			yi++
+// firstShadower returns the earliest live candidate before the rule at
+// index j whose claim survives every soundness guard. It merges, in
+// install order, the lanes that can hold a shadower: a shadower's op mask
+// is empty or holds every op of the rule, so it sits in the rule's first
+// op slot; its entry class is generic or the rule's own; a generic
+// shadower's subject is the wildcard or an exact set holding every SID of
+// the rule's exact set, the first one included (only the wildcard can
+// cover a nil or negated subject). No candidate is in two of those lanes.
+func (s *shadowSearch) firstShadower(c *Chain, j int, mutBetween func(i, j int) bool) (shadowCand, bool) {
+	r := c.Rules[j]
+	slot := firstSlot(r.Ops)
+	var keys [3]uint64
+	lanes := append(keys[:0], laneOf(slot, 0, true, 0))
+	if r.Subject != nil && !r.Subject.Negate {
+		lanes = append(lanes, laneOf(slot, 0, false, r.Subject.sids[0]))
+	}
+	if class := classOf(r); class != 0 {
+		lanes = append(lanes, laneOf(slot, class, true, 0))
+	}
+	var at [3]int
+	for l, key := range lanes {
+		at[l], _ = slices.BinarySearchFunc(s.lanes, key, func(e laneEntry, key uint64) int { return cmp.Compare(e.lane, key) })
+	}
+	for {
+		next, i := -1, j
+		for l, key := range lanes {
+			if p := at[l]; p < len(s.lanes) && s.lanes[p].lane == key && int(s.lanes[p].idx) < i {
+				next, i = l, int(s.lanes[p].idx)
+			}
 		}
-		if !coverageShadows(a, r, mutBetween, j) {
+		if next < 0 {
+			return shadowCand{}, false
+		}
+		at[next]++
+		if s.dead[i] {
 			continue
 		}
-		return a, true
+		if a, _ := candidateOf(i, c.Rules[i]); coverageShadows(a, r, mutBetween, j) {
+			return a, true
+		}
 	}
-	return shadowCand{}, false
+}
+
+// firstSlot is the first bucket slot a rule with op mask ops can match.
+func firstSlot(ops OpSet) uint8 {
+	slot := 0
+	for !slotMayMatch(ops, slot) {
+		slot++
+	}
+	return uint8(slot)
 }
 
 // coverageShadows applies the full per-claim soundness checks for
@@ -357,19 +471,13 @@ func coverageShadows(a shadowCand, r *Rule, mutBetween func(i, j int) bool, j in
 // in a traversal would also have fully matched a at a's earlier position in
 // the same traversal — per-field containment of match spaces.
 func covers(a, b *Rule) bool {
-	if !opsCover(a.Ops, b.Ops) {
-		return false
-	}
-	if !subjectCovers(a.Subject, b.Subject) {
-		return false
-	}
-	if !objectCovers(a.Object, b.Object) {
+	if !opsCover(a.Ops, b.Ops) || !entryCovers(a, b) {
 		return false
 	}
 	if a.ResIDSet && (!b.ResIDSet || a.ResID != b.ResID) {
 		return false
 	}
-	if !entryCovers(a, b) {
+	if !subjectCovers(a.Subject, b.Subject) || !objectCovers(a.Object, b.Object) {
 		return false
 	}
 	return matchesSubset(a.Matches, b.Matches)
@@ -422,21 +530,33 @@ func lanesCover(a, b *SIDSet) bool {
 	}
 }
 
-func subsetOf(inner, outer map[mac.SID]bool) bool {
+// subsetOf merges two ascending SID lists.
+func subsetOf(inner, outer []mac.SID) bool {
 	if len(inner) > len(outer) {
 		return false
 	}
-	for s := range inner {
-		if !outer[s] {
+	j := 0
+	for _, s := range inner {
+		for j < len(outer) && outer[j] < s {
+			j++
+		}
+		if j == len(outer) || outer[j] != s {
 			return false
 		}
+		j++
 	}
 	return true
 }
 
-func disjointFrom(xs, ys map[mac.SID]bool) bool {
-	for s := range xs {
-		if ys[s] {
+// disjointFrom merges two ascending SID lists.
+func disjointFrom(xs, ys []mac.SID) bool {
+	for i, j := 0, 0; i < len(xs) && j < len(ys); {
+		switch {
+		case xs[i] < ys[j]:
+			i++
+		case xs[i] > ys[j]:
+			j++
+		default:
 			return false
 		}
 	}

@@ -501,7 +501,7 @@ func (ci *chainIndex) add(ir indexedRule) {
 			b.wild = append(b.wild, ir)
 			continue
 		}
-		for sid := range r.Subject.sids {
+		for _, sid := range r.Subject.sids {
 			if i, ok := b.find(sid); ok {
 				b.exact[i].rules = append(b.exact[i].rules, ir)
 			} else {
@@ -646,7 +646,7 @@ func (ci *chainIndex) patched(ds []ruleDelta) *chainIndex {
 				owned[slot] = true
 			}
 			if exact {
-				for sid := range r.Subject.sids {
+				for _, sid := range r.Subject.sids {
 					i, found := b.find(sid)
 					switch {
 					case d.add && found:

@@ -2,7 +2,7 @@ package pf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"unicode"
@@ -13,19 +13,19 @@ import (
 // SIDSet is a possibly-negated set of MAC labels used by the -s and -d
 // default matches. The SYSHIGH keyword and label names are resolved to SIDs
 // at rule-install time (paper Section 5.2: pftables "translates SELinux
-// security labels into security IDs for fast matching").
+// security labels into security IDs for fast matching"). The members are
+// kept sorted and unique, so a membership test is a short scan or a binary
+// search and the analysis compares two sets by one merge.
 type SIDSet struct {
-	sids   map[mac.SID]bool
+	sids   []mac.SID
 	Negate bool
 }
 
-// NewSIDSet builds a set from resolved SIDs.
+// NewSIDSet builds a set from resolved SIDs; repeats collapse.
 func NewSIDSet(negate bool, sids ...mac.SID) *SIDSet {
-	m := make(map[mac.SID]bool, len(sids))
-	for _, s := range sids {
-		m[s] = true
-	}
-	return &SIDSet{sids: m, Negate: negate}
+	s := slices.Clone(sids)
+	slices.Sort(s)
+	return &SIDSet{sids: slices.Clip(slices.Compact(s)), Negate: negate}
 }
 
 // Contains applies the set (with negation) to s. A nil set matches anything.
@@ -33,24 +33,27 @@ func (ss *SIDSet) Contains(s mac.SID) bool {
 	if ss == nil {
 		return true
 	}
-	in := ss.sids[s]
-	if ss.Negate {
-		return !in
-	}
-	return in
+	return ss.has(s) != ss.Negate
 }
 
-// SIDs returns the member SIDs in ascending order.
-//
-//pflint:allow-fn — diagnostic rendering, reached only from log/flight-record emission.
-func (ss *SIDSet) SIDs() []mac.SID {
-	out := make([]mac.SID, 0, len(ss.sids))
-	for s := range ss.sids {
-		out = append(out, s)
+// has reports membership: a scan of a short set, a binary search of a
+// long one (SYSHIGH expands to every trusted label).
+func (ss *SIDSet) has(s mac.SID) bool {
+	if len(ss.sids) > 8 {
+		_, in := slices.BinarySearch(ss.sids, s)
+		return in
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	for _, m := range ss.sids {
+		if m >= s {
+			return m == s
+		}
+	}
+	return false
 }
+
+// SIDs returns the member SIDs in ascending order. The slice is the set's
+// own: callers must not modify it.
+func (ss *SIDSet) SIDs() []mac.SID { return ss.sids }
 
 // String renders the set in rule-language syntax using tbl for names.
 //
@@ -60,7 +63,7 @@ func (ss *SIDSet) String(tbl *mac.SIDTable) string {
 		return "any"
 	}
 	names := make([]string, 0, len(ss.sids))
-	for _, s := range ss.SIDs() {
+	for _, s := range ss.sids {
 		names = append(names, string(tbl.Label(s)))
 	}
 	body := "{" + strings.Join(names, "|") + "}"
